@@ -68,15 +68,21 @@ def geometry_factors() -> tuple[float, float]:
 
 
 def coupling_b0_sq(g: FilmGeometry, gamma_e: float = GAMMA_E) -> float:
-    """Mean-square transverse dipolar coupling b0^2 of the film (tesla^2).
+    """Mean-square transverse dipolar coupling b0^2 of the film (tesla^2)."""
+    return slab_b0_sq(g.d_nv, g.h, g.n_e, gamma_e=gamma_e)
+
+
+def slab_b0_sq(d_nv, h, n_e, gamma_e: float = GAMMA_E):
+    """b0^2 (tesla^2) for broadcastable arrays of depth, thickness and density.
 
     Closed form of the slab integral:
     (mu0 hbar gamma_e / 4pi)^2 * (2 pi S(S+1) / 9) * n_e * (1/d^3 - 1/(d+h)^3).
+    No validation: FilmGeometry checks the scalar case.
     """
     prefactor = (MU_0 * HBAR * gamma_e / (4.0 * np.pi)) ** 2
     spin_term = 2.0 * np.pi * S_SPIN_FACTOR / 9.0
-    radial = 1.0 / g.d_nv**3 - 1.0 / (g.d_nv + g.h) ** 3
-    return prefactor * spin_term * g.n_e * radial
+    radial = 1.0 / d_nv**3 - 1.0 / (d_nv + h) ** 3
+    return prefactor * spin_term * n_e * radial
 
 
 @dataclass(frozen=True)

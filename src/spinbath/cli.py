@@ -324,19 +324,24 @@ def _landscape_rows(result):
 
 
 def cmd_fit(run: _Run) -> int:
-    from .estimator import FitProblem, confidence_region, fit
+    from .errors import ConfigError
+    from .estimator import FitProblem, check_free, confidence_region, fit
     from .io import load_measurements
     from .relaxometry import MeasurementSet
 
     cfg = run.load_config()
     records = load_measurements(run.track_input(run.args.data))
-    data = MeasurementSet(records)
     free = tuple(s.strip() for s in run.args.free.split(",") if s.strip())
+    # validate before the θ-cache build, which dominates a cold fit
+    try:
+        check_free(free, len(records))
+    except ValueError as exc:
+        raise ConfigError(f"--free: {exc}") from None
     fields = sorted({r.b_gauss for r in records})
     grid = run.args.grid or cfg.fit.grid_points
 
     problem = FitProblem(
-        data=data,
+        data=MeasurementSet(records),
         model=_forward_model(cfg, fields),
         geometry=cfg.film_geometry(),
         free=free,

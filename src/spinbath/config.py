@@ -421,13 +421,16 @@ def _parse_fit(node, path) -> FitBlock:
         raise ConfigError(f"{path}.grid_points: expected an integer >= 4")
     if not isinstance(seed, int):
         raise ConfigError(f"{path}.seed: expected an integer")
+    bin_mhz = _number(d, "bin_mhz", path, default=1.0)
+    if not bin_mhz > 0:
+        raise ConfigError(f"{path}.bin_mhz: must be > 0, got {bin_mhz}")
     return FitBlock(
         tau_e_box_ns=_pair(d, "tau_e_box_ns", path, default=[0.1, 100.0]),
         theta_e_box_deg=_pair(d, "theta_e_box_deg", path, default=[0.0, 90.0]),
         d_nv_box_nm=_pair(d, "d_nv_box_nm", path, default=[2.0, 50.0]),
         grid_points=grid,
         theta_step_deg=_number(d, "theta_step_deg", path, default=1.0, lo=0.01, hi=45.0),
-        bin_mhz=_number(d, "bin_mhz", path, default=1.0, lo=0.0),
+        bin_mhz=bin_mhz,
         epsilon_scale=_number(d, "epsilon_scale", path, default=1.0, lo=0.0),
         seed=seed,
     )

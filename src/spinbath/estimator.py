@@ -3,10 +3,12 @@
 The forward model ΔΓ₁^th(B; λ) = γ_e² S_e(ω_NV(B)) is expensive through
 the eigendecomposition behind the transition spectrum, so the estimator
 precomputes a cache: for every (field, θ-node) pair it stores the binned
-line list shifted to the NV frequency, making a single model evaluation a
-pair of dot products.  ΔΓ₁ values between θ nodes are linearly
-interpolated; the depth and film nuisances (d_nv, h, n_e) enter only
-through the scalar multiplier b₀², so nuisance sweeps reuse the cache.
+line list shifted by ∓ω_NV.  `ForwardModel.unit_rates` evaluates ΔΓ₁ per
+unit b₀² on whole arrays of (τ_e, θ_e): it sums the lines of each θ node
+that brackets a queried θ once per distinct τ_e and interpolates linearly
+between the nodes.  The depth and film nuisances (d_nv, h, n_e) enter only
+through the multiplier b₀², so a grid mesh, a nuisance probe over that
+mesh and a single Nelder–Mead point are each one broadcast evaluation.
 
 Fitting is a deterministic coarse grid scan (64 points per free
 dimension) followed by Nelder–Mead refinement from every grid-local
@@ -22,9 +24,10 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.ndimage import minimum_filter
 from scipy.optimize import minimize
 
-from .bathspectrum import FilmGeometry, coupling_b0_sq, geometry_factors
+from .bathspectrum import FilmGeometry, geometry_factors, slab_b0_sq
 from .constants import GAUSS_TO_TESLA
 from .errors import UnidentifiableError
 from .relaxometry import MeasurementSet, NvConfig, nv_frequency
@@ -47,21 +50,27 @@ DEFAULT_BIN = 2.0 * np.pi * 1e6
 #: θ-node spacing of the cache (radians).
 DEFAULT_THETA_STEP = np.radians(1.0)
 
+#: Parameters a fit may leave free.
+FITTABLE = ("tau_e", "theta_e", "d_nv")
+
+#: Largest (τ × line) float32 work array of one node sum (4 MB).
+_CHUNK_ELEMENTS = 1 << 20
+
 
 def _bin_lines(omega: np.ndarray, weight: np.ndarray, bin_width: float):
     """Merge lines into weight-conserving bins at their weighted means."""
     idx = np.round(omega / bin_width).astype(np.int64)
     order = np.argsort(idx, kind="stable")
-    idx, omega, weight = idx[order], omega[order], weight[order]
-    boundaries = np.flatnonzero(np.diff(idx)) + 1
-    groups = np.split(np.arange(idx.size), boundaries)
-    w_out = np.empty(len(groups))
-    o_out = np.empty(len(groups))
-    for g, sl in enumerate(groups):
-        w = weight[sl]
-        w_out[g] = w.sum()
-        o_out[g] = float(omega[sl] @ w) / w_out[g]
-    return o_out, w_out
+    _, starts = np.unique(idx[order], return_index=True)
+    w_out = np.add.reduceat(weight[order], starts)
+    return np.add.reduceat((omega * weight)[order], starts) / w_out, w_out
+
+
+def _unit_lorentzian(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """1 / ((x t)² + 1) for a column of τ against a row of lines, in place."""
+    out = np.square(x * t)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 class ForwardModel:
@@ -114,36 +123,82 @@ class ForwardModel:
                     weight.astype(np.float32),
                 )
 
-    def _node_rate_unit(self, i_field: int, j_node: int, tau: float) -> float:
-        """ΔΓ₁ for b₀² = 1 T² at a cache node."""
-        diff, summ, w = self._cache[(i_field, j_node)]
-        t = np.float32(tau)
-        lines = float(
-            (1.0 / ((diff * t) ** 2 + 1.0) + 1.0 / ((summ * t) ** 2 + 1.0)) @ w
-        )
-        w_nv = self._omega_nv[i_field]
-        central = 2.0 * self._f_z / ((w_nv * tau) ** 2 + 1.0)
-        s_unit = (central + self._f_perp * lines) * tau
-        return self.nv.gamma_e**2 * s_unit
+    def _node_rates(self, taus: np.ndarray, nodes: np.ndarray, fields) -> np.ndarray:
+        """ΔΓ₁ for b₀² = 1 T² at θ nodes `nodes`: (n_τ, n_node, len(fields)).
 
-    def delta_gamma_unit(self, i_field: int, tau: float, theta: float) -> float:
-        """ΔΓ₁ per unit b₀², linearly interpolated between θ nodes."""
+        The line sum runs in float32 over chunks of τ, so no work array
+        exceeds _CHUNK_ELEMENTS.  Each τ row is reduced on its own (pairwise
+        summation), so its value does not depend on which other τ share the
+        call.
+        """
+        lines = np.empty((taus.size, nodes.size, len(fields)))
+        t32 = taus.astype(np.float32)[:, None]
+        for f, i in enumerate(fields):
+            for k, j in enumerate(nodes.tolist()):
+                diff, summ, w = self._cache[(i, j)]
+                step = max(1, _CHUNK_ELEMENTS // w.size)
+                for s in range(0, taus.size, step):
+                    t = t32[s : s + step]
+                    lor = _unit_lorentzian(diff, t)
+                    lor += _unit_lorentzian(summ, t)
+                    lor *= w
+                    lines[s : s + step, k, f] = lor.sum(axis=-1)
+        tau = taus[:, None, None]
+        central = 2.0 * self._f_z / ((self._omega_nv[list(fields)] * tau) ** 2 + 1.0)
+        return self.nv.gamma_e**2 * ((central + self._f_perp * lines) * tau)
+
+    def unit_rates(self, tau, theta, fields=None) -> np.ndarray:
+        """ΔΓ₁ per unit b₀² at broadcastable τ and θ: shape (..., n_field).
+
+        `fields` lists the indices of the configured fields to evaluate
+        (default: all, in order).  θ is clipped to the node range and
+        interpolated linearly between its two bracketing nodes.  Only those
+        nodes are summed, once per distinct τ, so a single point costs two
+        node sums per field.
+        """
+        if fields is None:
+            fields = range(len(self.fields_gauss))
+        tau = np.asarray(tau, dtype=float)
         nodes = self.theta_nodes
-        theta = float(np.clip(theta, nodes[0], nodes[-1]))
-        j = int(np.searchsorted(nodes, theta, side="right") - 1)
-        j = min(max(j, 0), nodes.size - 2)
-        frac = (theta - nodes[j]) / (nodes[j + 1] - nodes[j])
-        lo = self._node_rate_unit(i_field, j, tau)
-        hi = self._node_rate_unit(i_field, j + 1, tau)
+        theta = np.minimum(np.maximum(theta, nodes[0]), nodes[-1])
+        j = np.minimum(np.searchsorted(nodes, theta, side="right"), nodes.size - 1) - 1
+        frac = np.expand_dims((theta - nodes[j]) / (nodes[j + 1] - nodes[j]), -1)
+        taus, tau_pos = np.unique(tau, return_inverse=True)
+        used = np.zeros(nodes.size, dtype=bool)
+        used[j] = used[j + 1] = True
+        node_pos = np.cumsum(used) - 1
+        rates = self._node_rates(taus, np.flatnonzero(used), fields)
+        tau_pos = tau_pos.reshape(tau.shape)
+        lo, hi = rates[tau_pos, node_pos[j]], rates[tau_pos, node_pos[j + 1]]
         return (1.0 - frac) * lo + frac * hi
 
-    def delta_gammas(self, tau: float, theta: float, b0_sq: float) -> np.ndarray:
-        """ΔΓ₁^th at every configured field, in 1/s."""
-        return b0_sq * np.array(
-            [
-                self.delta_gamma_unit(i, tau, theta)
-                for i in range(len(self.fields_gauss))
-            ]
+    def delta_gamma_unit(self, i_field: int, tau, theta):
+        """ΔΓ₁ per unit b₀² at one configured field."""
+        return self.unit_rates(tau, theta, (i_field,))[..., 0]
+
+    def delta_gammas(self, tau, theta, b0_sq, fields=None) -> np.ndarray:
+        """ΔΓ₁^th in 1/s at the `fields` of unit_rates: shape (..., n_field)."""
+        return np.asarray(b0_sq)[..., None] * self.unit_rates(tau, theta, fields)
+
+
+def check_free(free: tuple[str, ...], n_records: int | None = None) -> None:
+    """Validate a free-parameter set; cheap enough to run before a cache build.
+
+    Raises ValueError for unknown, repeated or too many names and, given the
+    record count, UnidentifiableError when the records cannot constrain them.
+    """
+    for name in free:
+        if name not in FITTABLE:
+            raise ValueError(f"unknown or non-fittable parameter '{name}'")
+    if not free:
+        raise ValueError("no free parameters")
+    if len(set(free)) != len(free):
+        raise ValueError(f"repeated free parameter in {list(free)}")
+    if len(free) > 2:
+        raise ValueError("at most two free parameters are supported")
+    if n_records is not None and n_records < len(free):
+        raise UnidentifiableError(
+            f"{n_records} data point(s) cannot constrain {len(free)} free parameter(s)"
         )
 
 
@@ -168,9 +223,7 @@ class FitProblem:
 
     def __post_init__(self) -> None:
         known = {"tau_e", "theta_e", "d_nv", "h", "n_e"}
-        for name in self.free:
-            if name not in ("tau_e", "theta_e", "d_nv"):
-                raise ValueError(f"unknown or non-fittable parameter '{name}'")
+        check_free(self.free)
         for name in self.fixed:
             if name not in known:
                 raise ValueError(f"unknown parameter '{name}'")
@@ -205,30 +258,23 @@ class FitProblem:
 
 
 def _model_prediction(
-    problem: FitProblem, params: dict[str, float], field_idx: np.ndarray
+    problem: FitProblem, params: dict, field_idx: np.ndarray
 ) -> np.ndarray:
-    geom = problem.geometry.replace(
-        d_nv=params.get("d_nv", problem.fixed_value("d_nv")),
-        h=params.get("h", problem.fixed_value("h")),
-        n_e=params.get("n_e", problem.fixed_value("n_e")),
-    )
-    b0_sq = coupling_b0_sq(geom, gamma_e=problem.model.nv.gamma_e)
-    tau = params["tau_e"] if "tau_e" in params else problem.fixed_value("tau_e")
-    theta = (
-        params["theta_e"] if "theta_e" in params else problem.fixed_value("theta_e")
-    )
-    return b0_sq * np.array(
-        [problem.model.delta_gamma_unit(i, tau, theta) for i in field_idx]
-    )
+    """ΔΓ₁^th at the records' fields for broadcastable parameter values.
 
+    Returns shape (..., n_records); parameters absent from `params` take
+    their fixed values.
+    """
 
-def objective(params: dict[str, float], problem: FitProblem) -> float:
-    """σ-normalized (default) squared deviation summed over field points."""
-    field_idx = problem._field_indices()
-    th = _model_prediction(problem, params, field_idx)
-    exp, sig = problem.data.delta_gammas()
-    denom = sig if problem.sigma_weighting else np.abs(exp)
-    return float(np.sum(((exp - th) / denom) ** 2))
+    def value(name: str):
+        return params[name] if name in params else problem.fixed_value(name)
+
+    b0_sq = slab_b0_sq(
+        value("d_nv"), value("h"), value("n_e"), gamma_e=problem.model.nv.gamma_e
+    )
+    return problem.model.delta_gammas(
+        value("tau_e"), value("theta_e"), b0_sq, fields=field_idx
+    )
 
 
 @dataclass(frozen=True)
@@ -276,58 +322,32 @@ def _param_grid(problem: FitProblem, name: str, n: int) -> np.ndarray:
 
 
 def _grid_local_minima(obj: np.ndarray) -> list[tuple[int, ...]]:
-    """Indices of strict-or-plateau local minima on a 1-d or 2-d grid."""
-    mins: list[tuple[int, ...]] = []
-    if obj.ndim == 1:
-        for i in range(obj.size):
-            neigh = obj[max(i - 1, 0) : i + 2]
-            if obj[i] <= neigh.min():
-                mins.append((i,))
-    else:
-        n0, n1 = obj.shape
-        for i in range(n0):
-            for j in range(n1):
-                block = obj[max(i - 1, 0) : i + 2, max(j - 1, 0) : j + 2]
-                if obj[i, j] <= block.min():
-                    mins.append((i, j))
-    return mins
+    """Indices of strict-or-plateau local minima on a 1-d or 2-d grid.
+
+    A point qualifies when no neighbour in its (edge-truncated) 3 or 3×3
+    window is lower; "nearest" padding only repeats values of that window.
+    """
+    is_min = obj <= minimum_filter(obj, size=3, mode="nearest")
+    return [tuple(int(i) for i in idx) for idx in np.argwhere(is_min)]
 
 
 def fit(problem: FitProblem, grid_points: int = DEFAULT_GRID) -> FitResult:
     """Deterministic grid scan + Nelder–Mead refinement of every basin."""
     free = problem.free
-    if not free:
-        raise ValueError("no free parameters")
-    if len(free) > 2:
-        raise ValueError("at most two free parameters are supported")
-    n_pts = len(problem.data.records)
-    if n_pts < len(free):
-        raise UnidentifiableError(
-            f"{n_pts} data point(s) cannot constrain {len(free)} free parameter(s)"
-        )
+    check_free(free, len(problem.data.records))
 
     grids = [_param_grid(problem, name, grid_points) for name in free]
     field_idx = problem._field_indices()
     exp, sig = problem.data.delta_gammas()
     denom = sig if problem.sigma_weighting else np.abs(exp)
 
-    # vectorized landscape evaluation via the unit-rate cache
-    def params_at(vals) -> dict[str, float]:
-        return dict(zip(free, vals))
+    def objective(vals):
+        """σ-normalized (default) χ² at broadcastable free-parameter values."""
+        th = _model_prediction(problem, dict(zip(free, vals)), field_idx)
+        return np.sum(((exp - th) / denom) ** 2, axis=-1)
 
-    shape = tuple(g.size for g in grids)
-    obj = np.empty(shape)
-    for idx in np.ndindex(shape):
-        vals = [grids[k][idx[k]] for k in range(len(free))]
-        obj[idx] = float(
-            np.sum(
-                (
-                    (exp - _model_prediction(problem, params_at(vals), field_idx))
-                    / denom
-                )
-                ** 2
-            )
-        )
+    # the whole landscape is one broadcast over the sparse mesh
+    obj = objective(np.meshgrid(*grids, indexing="ij", sparse=True))
 
     spread = float(np.max(obj) - np.min(obj))
     if not np.isfinite(spread) or spread < 1e-12 * (1.0 + float(np.min(obj))):
@@ -350,16 +370,7 @@ def fit(problem: FitProblem, grid_points: int = DEFAULT_GRID) -> FitResult:
         return np.where(log_mask, np.exp(y), y)
 
     def f_internal(u):
-        vals = from_internal(u)
-        return float(
-            np.sum(
-                (
-                    (exp - _model_prediction(problem, params_at(vals), field_idx))
-                    / denom
-                )
-                ** 2
-            )
-        )
+        return float(objective(from_internal(u)))
 
     # cap refinement starts: genuine basins are few; plateaus can flood
     starts = _grid_local_minima(obj)
@@ -402,7 +413,7 @@ def fit(problem: FitProblem, grid_points: int = DEFAULT_GRID) -> FitResult:
     sigma = _curvature_sigma(
         f_internal, to_internal(kept[0][0]), free, log_mask, lo_i, hi_i
     )
-    minima = tuple((params_at(x.tolist()), v) for x, v in kept)
+    minima = tuple((dict(zip(free, x.tolist())), v) for x, v in kept)
     return FitResult(
         minima=minima,
         free=free,
@@ -467,63 +478,51 @@ def _nuisance_probes(problem: FitProblem) -> list[dict[str, float]]:
     return probes
 
 
+def _accepted(problem: FitProblem, vals, epsilon_scale: float) -> np.ndarray:
+    """Whether some nuisance probe brings every point within ε of the data.
+
+    `vals` are broadcastable values of the free parameters; each probe is
+    one broadcast evaluation and the per-probe masks are OR-reduced.
+    """
+    field_idx = problem._field_indices()
+    exp, sig = problem.data.delta_gammas()
+    eps = epsilon_scale * sig
+    ok = False
+    for probe in _nuisance_probes(problem):
+        params = {**dict(zip(problem.free, vals)), **probe}
+        th = _model_prediction(problem, params, field_idx)
+        ok = ok | np.all(np.abs(exp - th) < eps, axis=-1)
+    return ok
+
+
 def confidence_region(
     problem: FitProblem,
     result: FitResult,
     epsilon_scale: float = 1.0,
     grid_points: int = DEFAULT_GRID,
-    aggregate: bool = False,
 ) -> dict[str, list[tuple[float, float]]]:
     """Accepted set {λ : ∃ λ_ind probe with |ΔΓ₁^exp − ΔΓ₁^th| < ε everywhere}.
 
-    ε per point is epsilon_scale × the experimental σ.  With `aggregate`
-    the criterion is instead ‖(exp − th)/ε‖² < n_points (norm semantics).
-    Returns per-free-parameter lists of accepted intervals (grid-run
-    bounded, possibly disconnected).
+    ε per point is epsilon_scale × the experimental σ.  Returns
+    per-free-parameter lists of accepted intervals (grid-run bounded,
+    possibly disconnected).
     """
     free = problem.free
     grids = [_param_grid(problem, name, grid_points) for name in free]
-    field_idx = problem._field_indices()
-    exp, sig = problem.data.delta_gammas()
-    eps = epsilon_scale * sig
-    probes = _nuisance_probes(problem)
-
-    shape = tuple(g.size for g in grids)
-    accepted = np.zeros(shape, dtype=bool)
-
-    def point_ok(vals) -> bool:
-        params = dict(zip(free, vals))
-        for probe in probes:
-            p = dict(params)
-            p.update(probe)
-            th = _model_prediction(problem, p, field_idx)
-            if aggregate:
-                if float(np.sum(((exp - th) / eps) ** 2)) < len(exp):
-                    return True
-            else:
-                if np.all(np.abs(exp - th) < eps):
-                    return True
-        return False
-
-    for idx in np.ndindex(shape):
-        accepted[idx] = point_ok([grids[k][idx[k]] for k in range(len(free))])
-
+    mesh = np.meshgrid(*grids, indexing="ij", sparse=True)
+    accepted = _accepted(problem, mesh, epsilon_scale)
     # always test the fitted minimizer itself (it may sit off-grid)
-    best_ok = point_ok([result.best[n] for n in free])
+    best_ok = bool(_accepted(problem, [result.best[n] for n in free], epsilon_scale))
 
     out: dict[str, list[tuple[float, float]]] = {}
     for k, name in enumerate(free):
         axis_ok = accepted.any(axis=tuple(a for a in range(len(free)) if a != k))
-        intervals: list[tuple[float, float]] = []
+        # runs of accepted grid points: starts at even, ends at odd edges
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], axis_ok, [0]])))
         g = grids[k]
-        run_start = None
-        for i, ok in enumerate(axis_ok):
-            if ok and run_start is None:
-                run_start = i
-            if (not ok or i == axis_ok.size - 1) and run_start is not None:
-                end = i if ok else i - 1
-                intervals.append((float(g[run_start]), float(g[end])))
-                run_start = None
+        intervals = [
+            (float(g[a]), float(g[b - 1])) for a, b in zip(edges[::2], edges[1::2])
+        ]
         if best_ok:
             b = result.best[name]
             if not any(lo <= b <= hi for lo, hi in intervals):
@@ -545,11 +544,4 @@ def estimate_depth(problem: FitProblem, grid_points: int = DEFAULT_GRID) -> FitR
         raise ValueError("estimate_depth requires fixed tau_e")
     result = fit(problem, grid_points=grid_points)
     conf = confidence_region(problem, result, grid_points=grid_points)
-    return FitResult(
-        minima=result.minima,
-        free=result.free,
-        landscape=result.landscape,
-        boundary_minimum=result.boundary_minimum,
-        confidence=conf,
-        param_sigma=result.param_sigma,
-    )
+    return replace(result, confidence=conf)

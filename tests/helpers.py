@@ -183,3 +183,89 @@ def golden_rule_rate_quad(model, omega: float, gamma_e: float) -> float:
         g_scaled, 0.0, np.inf, weight="cos", wvar=omega * tau, limlst=200, limit=400
     )
     return gamma_e**2 * 2.0 * g0 * tau * val
+
+
+# ---------------------------------------------------------------------------
+# per-point loop oracles for the estimator's vectorized paths
+# ---------------------------------------------------------------------------
+
+
+def bin_lines_loop(omega, weight, bin_width):
+    """Line binning one group at a time: weight sum, weighted-mean frequency."""
+    idx = np.round(omega / bin_width).astype(np.int64)
+    order = np.argsort(idx, kind="stable")
+    idx, omega, weight = idx[order], omega[order], weight[order]
+    groups = np.split(np.arange(idx.size), np.flatnonzero(np.diff(idx)) + 1)
+    w_out = np.array([weight[g].sum() for g in groups])
+    o_out = np.array([float(omega[g] @ weight[g]) for g in groups]) / w_out
+    return o_out, w_out
+
+
+def grid_local_minima_loop(obj):
+    """Strict-or-plateau local minima over edge-truncated 3 / 3x3 windows."""
+    mins = []
+    for idx in np.ndindex(obj.shape):
+        window = tuple(slice(max(i - 1, 0), i + 2) for i in idx)
+        if obj[idx] <= obj[window].min():
+            mins.append(idx)
+    return mins
+
+
+def node_rate_unit(model, i_field, j_node, tau):
+    """ΔΓ₁ for b0^2 = 1 T^2 at one cache node and one tau: a float32 dot."""
+    diff, summ, w = model._cache[(i_field, j_node)]
+    t = np.float32(tau)
+    lines = float((1.0 / ((diff * t) ** 2 + 1.0) + 1.0 / ((summ * t) ** 2 + 1.0)) @ w)
+    w_nv = model._omega_nv[i_field]
+    central = 2.0 * model._f_z / ((w_nv * tau) ** 2 + 1.0)
+    return model.nv.gamma_e**2 * (central + model._f_perp * lines) * tau
+
+
+def delta_gamma_unit_loop(model, i_field, tau, theta):
+    """Scalar θ interpolation between the two bracketing node rates."""
+    nodes = model.theta_nodes
+    theta = float(np.clip(theta, nodes[0], nodes[-1]))
+    j = int(np.searchsorted(nodes, theta, side="right") - 1)
+    j = min(max(j, 0), nodes.size - 2)
+    frac = (theta - nodes[j]) / (nodes[j + 1] - nodes[j])
+    lo = node_rate_unit(model, i_field, j, tau)
+    hi = node_rate_unit(model, i_field, j + 1, tau)
+    return (1.0 - frac) * lo + frac * hi
+
+
+def _grid_points(grids):
+    for idx in np.ndindex(tuple(g.size for g in grids)):
+        yield idx, [float(g[i]) for g, i in zip(grids, idx)]
+
+
+def landscape_loop(problem, grids):
+    """Fit objective evaluated one grid point at a time."""
+    from spinbath.estimator import _model_prediction
+
+    field_idx = problem._field_indices()
+    exp, sig = problem.data.delta_gammas()
+    denom = sig if problem.sigma_weighting else np.abs(exp)
+    obj = np.empty(tuple(g.size for g in grids))
+    for idx, vals in _grid_points(grids):
+        params = dict(zip(problem.free, vals))
+        th = _model_prediction(problem, params, field_idx)
+        obj[idx] = float(np.sum(((exp - th) / denom) ** 2))
+    return obj
+
+
+def accepted_loop(problem, grids, epsilon_scale):
+    """Confidence acceptance one grid point and one nuisance probe at a time."""
+    from spinbath.estimator import _model_prediction, _nuisance_probes
+
+    field_idx = problem._field_indices()
+    exp, sig = problem.data.delta_gammas()
+    eps = epsilon_scale * sig
+    accepted = np.zeros(tuple(g.size for g in grids), dtype=bool)
+    for idx, vals in _grid_points(grids):
+        for probe in _nuisance_probes(problem):
+            params = {**dict(zip(problem.free, vals)), **probe}
+            th = _model_prediction(problem, params, field_idx)
+            if np.all(np.abs(exp - th) < eps):
+                accepted[idx] = True
+                break
+    return accepted

@@ -150,6 +150,72 @@ def test_fit_single_point_unidentifiable(tmp_path, small_model, geometry):
     assert code == EXIT_UNIDENTIFIABLE
 
 
+@pytest.fixture()
+def no_cache_build(monkeypatch):
+    """Fail the test if the command gets as far as building the θ-cache."""
+    import spinbath.estimator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("θ-cache build started before input validation")
+
+    monkeypatch.setattr(spinbath.estimator, "ForwardModel", refuse)
+
+
+def _two_field_table(tmp_path, small_model, geometry):
+    rng = np.random.default_rng(4)
+    records = synth_records(small_model, geometry, 2e-9, 0.75, rng)
+    data = tmp_path / "t1.csv"
+    records_to_csv(records, data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "free", ["tau_e,bogus", "tau_e,theta_e,d_nv", "tau_e,tau_e", ",", "h"]
+)
+def test_fit_bad_free_is_config_error(
+    free, tmp_path, small_model, geometry, no_cache_build, capsys
+):
+    data = _two_field_table(tmp_path, small_model, geometry)
+    code = run_cli(
+        "fit", "--config", CONFIG_PATH, "--out", tmp_path, "--data", data,
+        "--free", free,
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --free:") and err.count("\n") == 1
+
+
+def test_fit_too_few_records_fails_before_cache(
+    tmp_path, small_model, geometry, no_cache_build
+):
+    rng = np.random.default_rng(2)
+    records = synth_records(small_model, geometry, 2e-9, 0.75, rng, fields=(231.0,))
+    data = tmp_path / "t1.csv"
+    records_to_csv(records, data)
+    code = run_cli(
+        "fit", "--config", CONFIG_PATH, "--out", tmp_path, "--data", data,
+        "--free", "tau_e,theta_e",
+    )
+    assert code == EXIT_UNIDENTIFIABLE
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    code = run_cli("fit", "--config", CONFIG_PATH, "--out", tmp_path, "--data", empty)
+    assert code == EXIT_UNIDENTIFIABLE
+
+
+@pytest.mark.parametrize("bin_mhz", [0.0, -1.0, float("nan")])
+def test_fit_nonpositive_bin_is_config_error(
+    bin_mhz, tmp_path, small_model, geometry, no_cache_build
+):
+    tree = yaml.safe_load(CONFIG_PATH.read_text())
+    tree["fit"]["bin_mhz"] = bin_mhz
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(tree))
+    data = _two_field_table(tmp_path, small_model, geometry)
+    code = run_cli("fit", "--config", bad, "--out", tmp_path, "--data", data)
+    assert code == EXIT_CONFIG
+
+
 def test_decay_fit_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     t_us = np.geomspace(10.0, 3e4, 36)

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import synth_records
+import spinbath.estimator as estimator
+from helpers import (
+    accepted_loop,
+    bin_lines_loop,
+    delta_gamma_unit_loop,
+    grid_local_minima_loop,
+    landscape_loop,
+    synth_records,
+)
 from spinbath.bathspectrum import (
     coupling_b0_sq,
     cupc_bath_model,
@@ -11,6 +19,7 @@ from spinbath.bathspectrum import (
 from spinbath.constants import GAUSS_TO_TESLA
 from spinbath.errors import UnidentifiableError
 from spinbath.estimator import FitProblem, FitResult, confidence_region, estimate_depth, fit
+from spinbath.spinmodel import isotope_family_spectrum
 from spinbath.relaxometry import MeasurementSet, T1Record, relaxation_rate
 
 
@@ -220,3 +229,113 @@ class TestEstimateDepth:
         assert payload["minima"][0]["params"]["tau_e"] == pytest.approx(
             res.best["tau_e"]
         )
+
+
+class TestVectorizedAgainstLoops:
+    """Broadcast evaluation against the per-point loops it replaced."""
+
+    def test_unit_rates_match_scalar_node_sums(self, small_model):
+        """Float32 line sums may reorder, nothing else: 1e-6 relative."""
+        nodes = small_model.theta_nodes
+        rng = np.random.default_rng(17)
+        thetas = np.concatenate(
+            [
+                nodes,  # exactly on every node, box edges 0 and pi/2 included
+                0.5 * (nodes[:-1] + nodes[1:]),
+                rng.uniform(nodes[0], nodes[-1], 5),
+                [nodes[0] - 0.1, nodes[-1] + 0.1],  # clipped to the edge nodes
+            ]
+        )
+        lo, hi = estimator.DEFAULT_BOXES["tau_e"]
+        taus = np.array([lo, 0.7e-9, 2e-9, 13e-9, hi])
+        got = small_model.unit_rates(taus[:, None], thetas[None, :])
+        assert got.shape == (taus.size, thetas.size, 2)
+        want = np.array(
+            [
+                [
+                    [delta_gamma_unit_loop(small_model, i, t, th) for i in range(2)]
+                    for th in thetas
+                ]
+                for t in taus
+            ]
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
+        # a field subset, or a lone point, gives the very values of the mesh
+        np.testing.assert_array_equal(
+            small_model.unit_rates(taus[:, None], thetas, fields=(1,))[..., 0],
+            got[..., 1],
+        )
+        np.testing.assert_array_equal(
+            small_model.unit_rates(taus[2], thetas[7]), got[2, 7]
+        )
+
+    def test_chunking_does_not_change_values(self, small_model, monkeypatch):
+        taus = np.geomspace(0.1e-9, 100e-9, 37)
+        whole = small_model.unit_rates(taus, 0.6)
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 3000)  # ~1 tau per chunk
+        np.testing.assert_array_equal(small_model.unit_rates(taus, 0.6), whole)
+
+    def test_single_point_sums_two_nodes_per_field(self, small_model, monkeypatch):
+        sums = []
+        node_rates = small_model._node_rates
+
+        def spy(taus, nodes, fields):
+            sums.append(taus.size * nodes.size * len(fields))
+            return node_rates(taus, nodes, fields)
+
+        monkeypatch.setattr(small_model, "_node_rates", spy)
+        small_model.unit_rates(2e-9, 0.7)
+        small_model.unit_rates(np.full(5, 2e-9), np.full(5, 0.7))
+        small_model.delta_gamma_unit(1, 2e-9, 0.7)
+        assert sums == [4, 4, 2]
+
+    @pytest.mark.parametrize(
+        "free", [("tau_e", "theta_e"), ("d_nv", "theta_e"), ("tau_e",)]
+    )
+    def test_landscape_and_acceptance_match_loops(
+        self, free, small_model, geometry, nuisance_fixed
+    ):
+        rng = np.random.default_rng(23)
+        records = synth_records(small_model, geometry, 2e-9, 0.75, rng, noise=0.02)
+        boxes = {"tau_e": (0.5e-9, 8e-9), "d_nv": (4e-9, 12e-9)}
+        problem = make_problem(
+            records, small_model, geometry, free, nuisance_fixed(free), boxes=boxes
+        )
+        res = fit(problem, grid_points=48 if len(free) == 1 else 14)
+        grids, obj = res.landscape
+        want = landscape_loop(problem, grids)
+        np.testing.assert_allclose(obj, want, rtol=1e-12, atol=0)
+        mesh = np.meshgrid(*grids, indexing="ij", sparse=True)
+        for scale in (1.0, 4.0):
+            mask = accepted_loop(problem, grids, scale)
+            got = estimator._accepted(problem, mesh, scale)
+            np.testing.assert_array_equal(got, mask)
+        # the wide window accepts some points and rejects others
+        assert mask.any() and not mask.all()
+
+    def test_bin_lines_matches_group_loop(self, shipped_config):
+        spec = shipped_config.spin_spec(231.0 * GAUSS_TO_TESLA, theta_e=0.75)
+        omega, weight = isotope_family_spectrum(spec).merged()
+        width = estimator.DEFAULT_BIN
+        o_vec, w_vec = estimator._bin_lines(omega, weight, width)
+        o_loop, w_loop = bin_lines_loop(omega, weight, width)
+        assert o_vec.size == o_loop.size < omega.size
+        assert w_vec.sum() == pytest.approx(weight.sum(), rel=1e-12)
+        np.testing.assert_allclose(w_vec, w_loop, rtol=1e-12, atol=0)
+        # the bin at ω ≈ 0 averages lines of both signs: its mean cancels, so
+        # its error is measured against the spectrum's frequency scale
+        scale = np.abs(omega).max()
+        np.testing.assert_allclose(o_vec, o_loop, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize(
+        "shape", [(1,), (2,), (40,), (1, 1), (1, 9), (7, 1), (12, 17)]
+    )
+    def test_grid_local_minima_matches_window_loop(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        grids = [
+            rng.standard_normal(shape),
+            rng.integers(0, 3, shape).astype(float),  # many plateaus
+            np.zeros(shape),  # one plateau: every point qualifies
+        ]
+        for obj in grids:
+            assert estimator._grid_local_minima(obj) == grid_local_minima_loop(obj)
