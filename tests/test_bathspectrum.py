@@ -16,6 +16,7 @@ from spinbath.bathspectrum import (
     free_electron_spectrum,
     geometry_factors,
     spectral_density,
+    _cosine_sum,
 )
 from spinbath.constants import GAUSS_TO_TESLA, TWO_PI
 from spinbath.spinmodel import HyperfineTensor, SpinSystemSpec, isotope_family_spectrum
@@ -91,6 +92,27 @@ class TestSpectralDensity:
         s_direct = spectral_density(m, omega_fft)
         scale = np.max(s_direct)
         np.testing.assert_allclose(spec_fft / scale, s_direct / scale, atol=5e-3)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            2e-11 * np.arange(4000),
+            np.linspace(1e-9, 3e-9, 777),
+            np.linspace(0.0, 1e-8, 64),
+            np.sort(np.random.default_rng(3).uniform(0.0, 1e-8, 300)),
+            np.linspace(0.0, 1e-8, 10),
+        ],
+        ids=["arange", "offset-grid", "short-grid", "uneven", "tiny"],
+    )
+    def test_cosine_sum_matches_direct(self, t):
+        """The anchor/offset split of an even grid equals one cos per point."""
+        rng = np.random.default_rng(0)
+        omega = rng.uniform(-TWO_PI * 3e9, TWO_PI * 3e9, 5000)
+        eta = rng.uniform(0.0, 1.0, 5000)
+        direct = np.cos(t[:, None] * omega) @ eta
+        np.testing.assert_allclose(
+            _cosine_sum(t, omega, eta), direct, rtol=0, atol=1e-13 * eta.sum()
+        )
 
     def test_autocorrelation_t0(self):
         """G_e(0) = b0^2 (f_z + f_perp * total oscillating weight)."""
