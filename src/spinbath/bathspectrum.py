@@ -13,6 +13,10 @@ an exponential envelope exp(-t/tau_e) this yields the autocorrelation
 
 and its two-sided Fourier transform, the power spectral density S_e(omega)
 built from Lorentzians of width 1/tau_e at every transition frequency.
+Both sum over `TransitionSpectrum.binned`: the isotopes merged by
+abundance and the lines merged into 1 MHz bins without losing weight.
+`_lorentzian` and `_cosine_sum` are the line-sum kernels; `eesolver` uses
+them too.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .spinmodel import (
     IsotopeSpectrum,
     SpinSystemSpec,
     TransitionSpectrum,
-    transition_spectrum,
 )
 
 #: Exact channel fractions of b0^2 (longitudinal, transverse).
@@ -116,20 +119,17 @@ class BathSpectrumModel:
         )
 
 
-#: Grid points per evaluation chunk; keeps the (grid x lines) work arrays
-#: around ~100 MB even for the full ~5e4-line CuPc spectrum.
+#: Grid points per evaluation chunk; bounds the (grid x lines) work arrays.
 _CHUNK = 256
 
 
 def autocorrelation(m: BathSpectrumModel, t) -> np.ndarray | float:
-    """G_e(t) in tesla^2 for t >= 0 (G_e is even in t)."""
+    """G_e(t) in tesla^2 for t >= 0 (G_e is even in t), over the binned lines."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0):
         raise ValueError("autocorrelation is defined for t >= 0")
     f_z, f_perp = geometry_factors()
-    osc = np.zeros_like(t_arr)
-    for comp in m.spectrum.components:
-        osc += comp.isotope.abundance * _cosine_sum(t_arr, comp.omega, comp.eta)
+    osc = _cosine_sum(t_arr, *m.spectrum.binned())
     out = m.b0_sq * np.exp(-t_arr / m.tau_e) * (f_z + f_perp * osc)
     return out if np.ndim(t) else float(out[0])
 
@@ -171,37 +171,24 @@ def _lorentzian(x, tau: float):
     return tau / (np.square(x * tau) + 1.0)
 
 
-def isotope_spectral_density(
-    comp: IsotopeSpectrum, tau_e: float, b0_sq: float, omega
-) -> np.ndarray | float:
-    """Single-isotope S_e contribution, without the abundance weight."""
-    omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    f_z, f_perp = geometry_factors()
-    central = 2.0 * f_z * b0_sq * _lorentzian(omega_arr, tau_e)
-    lines = np.zeros_like(omega_arr)
-    for lo in range(0, omega_arr.size, _CHUNK):
-        block = omega_arr[lo : lo + _CHUNK, None]
-        lines[lo : lo + _CHUNK] = (
-            _lorentzian(block - comp.omega, tau_e)
-            + _lorentzian(block + comp.omega, tau_e)
-        ) @ comp.eta
-    out = central + f_perp * b0_sq * lines
-    return out if np.ndim(omega) else float(out[0])
-
-
 def spectral_density(m: BathSpectrumModel, omega) -> np.ndarray | float:
     """Two-sided power spectral density S_e(omega) in tesla^2 s.
 
-    S_e(omega) = sum_k rho_k { (5/8) b0^2 tau/(omega^2 tau^2 + 1)
-        + (11/16) sum_ij eta_ij [ L(omega_ij - omega) + L(omega_ij + omega) ] }
-    with L(x) = b0^2 tau / (x^2 tau^2 + 1).
+    S_e(omega) = (5/8) b0^2 L(omega)
+        + (11/16) sum_l w_l [ L(omega_l - omega) + L(omega_l + omega) ]
+    with L(x) = b0^2 tau / (x^2 tau^2 + 1), summed over the binned,
+    abundance-weighted lines (omega_l, w_l) of `TransitionSpectrum.binned`.
     """
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.zeros_like(omega_arr)
-    for comp in m.spectrum.components:
-        out += comp.isotope.abundance * isotope_spectral_density(
-            comp, m.tau_e, m.b0_sq, omega_arr
-        )
+    lines, weight = m.spectrum.binned()
+    f_z, f_perp = geometry_factors()
+    comb = np.empty_like(omega_arr)
+    for lo in range(0, omega_arr.size, _CHUNK):
+        block = omega_arr[lo : lo + _CHUNK, None]
+        comb[lo : lo + _CHUNK] = (
+            _lorentzian(block - lines, m.tau_e) + _lorentzian(block + lines, m.tau_e)
+        ) @ weight
+    out = m.b0_sq * (2.0 * f_z * _lorentzian(omega_arr, m.tau_e) + f_perp * comb)
     return out if np.ndim(omega) else float(out[0])
 
 

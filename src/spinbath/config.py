@@ -71,9 +71,6 @@ def _vector3(node: dict, key: str, path: str) -> tuple[float, float, float]:
 @dataclass(frozen=True)
 class ConstantsBlock:
     gamma_e_ghz_per_t: float = constants.GAMMA_E / constants.TWO_PI / 1e9
-    mu_0: float = constants.MU_0
-    hbar: float = constants.HBAR
-    k_b: float = constants.K_B
 
     @property
     def gamma_e(self) -> float:
@@ -287,9 +284,6 @@ def _parse_constants(node, path) -> ConstantsBlock:
         gamma_e_ghz_per_t=_number(
             d, "gamma_e_ghz_per_t", path, default=ConstantsBlock.gamma_e_ghz_per_t, lo=1.0
         ),
-        mu_0=_number(d, "mu_0", path, default=constants.MU_0, lo=0.0),
-        hbar=_number(d, "hbar", path, default=constants.HBAR, lo=0.0),
-        k_b=_number(d, "k_b", path, default=constants.K_B, lo=0.0),
     )
 
 
@@ -424,10 +418,15 @@ def _parse_fit(node, path) -> FitBlock:
     bin_mhz = _number(d, "bin_mhz", path, default=1.0)
     if not bin_mhz > 0:
         raise ConfigError(f"{path}.bin_mhz: must be > 0, got {bin_mhz}")
+    tau_box = _pair(d, "tau_e_box_ns", path, default=[0.1, 100.0])
+    d_box = _pair(d, "d_nv_box_nm", path, default=[2.0, 50.0])
+    for key, (lo, _hi) in (("tau_e_box_ns", tau_box), ("d_nv_box_nm", d_box)):
+        if not lo > 0:
+            raise ConfigError(f"{path}.{key}: lower edge must be > 0, got {lo}")
     return FitBlock(
-        tau_e_box_ns=_pair(d, "tau_e_box_ns", path, default=[0.1, 100.0]),
+        tau_e_box_ns=tau_box,
         theta_e_box_deg=_pair(d, "theta_e_box_deg", path, default=[0.0, 90.0]),
-        d_nv_box_nm=_pair(d, "d_nv_box_nm", path, default=[2.0, 50.0]),
+        d_nv_box_nm=d_box,
         grid_points=grid,
         theta_step_deg=_number(d, "theta_step_deg", path, default=1.0, lo=0.01, hi=45.0),
         bin_mhz=bin_mhz,

@@ -30,12 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bathspectrum import S_SPIN_FACTOR, _cosine_sum, _lorentzian
 from .constants import GAMMA_E, HBAR, MU_0
 from .errors import ConvergenceError
 from .spinmodel import TransitionSpectrum
-
-#: Electron spin magnitude factor S(S+1) for S = 1/2.
-S_SPIN_FACTOR = 0.75
 
 #: Default delta-function realization width for `delta_approx_tau` (rad/s).
 DEFAULT_COINCIDENCE_BIN = 2.0 * np.pi * 10e3
@@ -43,10 +41,6 @@ DEFAULT_COINCIDENCE_BIN = 2.0 * np.pi * 10e3
 #: Background (spin-lattice + electron-nuclear) rate at room temperature,
 #: the 1/38 ns^-1 extrapolation consumed by the total-rate composition.
 BACKGROUND_RATE_ROOM_T = 1.0 / 38e-9
-
-#: Fraction of the total line weight that may be dropped when compressing
-#: the transition list for the time-domain overlap integrals.
-_WEIGHT_TOL = 1e-4
 
 #: Time-grid resolution: points per period of the fastest spectral line.
 _PTS_PER_PERIOD = 24
@@ -213,10 +207,6 @@ def dipolar_coupling(r: float | np.ndarray) -> float | np.ndarray:
     )
 
 
-def _lorentzian(x, tau: float):
-    return tau / (np.square(x * tau) + 1.0)
-
-
 def pair_spectral_density(
     pair: tuple[float, float],
     tau_e: float,
@@ -226,9 +216,9 @@ def pair_spectral_density(
     """S_{n,m}(omega) of one neighbour pair, in tesla^2 s.
 
     prefactor * { (9/2) sin^2(2 Theta) L(omega)
-                  + F(Theta) sum_k rho_k sum_ij eta_ij [L(omega_ij - omega)
-                                                        + L(omega_ij + omega)] }
-    with L(x) = tau_e / (x^2 tau_e^2 + 1).
+                  + F(Theta) sum_l w_l [L(omega_l - omega) + L(omega_l + omega)] }
+    with L(x) = tau_e / (x^2 tau_e^2 + 1), over the binned lines
+    (omega_l, w_l) of `TransitionSpectrum.binned`.
     """
     r, theta = pair
     if r <= 0:
@@ -236,33 +226,11 @@ def pair_spectral_density(
     if tau_e <= 0:
         raise ValueError("tau_e must be > 0")
     qs = quasi_static_factor(theta) * _lorentzian(omega, tau_e)
-    ff_sum = 0.0
-    for comp in spectrum.components:
-        ff_sum += comp.isotope.abundance * float(
-            (
-                _lorentzian(comp.omega - omega, tau_e)
-                + _lorentzian(comp.omega + omega, tau_e)
-            )
-            @ comp.eta
-        )
+    lines, weight = spectrum.binned()
+    ff_sum = float(
+        (_lorentzian(lines - omega, tau_e) + _lorentzian(lines + omega, tau_e)) @ weight
+    )
     return float(dipolar_prefactor(r) * (qs + flip_flop_factor(theta) * ff_sum))
-
-
-def _merged_weights(spectrum: TransitionSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Abundance-weighted (omega, weight) over all isotopes, both signs."""
-    omega, weight = spectrum.merged()
-    return omega, weight
-
-
-def _compress_lines(
-    omega: np.ndarray, weight: np.ndarray, tol: float = _WEIGHT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop the lightest lines carrying at most `tol` of the total weight."""
-    order = np.argsort(weight)
-    cum = np.cumsum(weight[order])
-    keep_from = int(np.searchsorted(cum, tol * cum[-1]))
-    keep = np.sort(order[keep_from:])
-    return omega[keep], weight[keep]
 
 
 class _OverlapIntegrator:
@@ -279,7 +247,7 @@ class _OverlapIntegrator:
     """
 
     def __init__(self, omega: np.ndarray, weight: np.ndarray):
-        self.omega, self.weight = _compress_lines(omega, weight)
+        self.omega, self.weight = omega, weight
         w_max = float(np.max(np.abs(self.omega))) if self.omega.size else 0.0
         if w_max == 0.0:
             w_max = 1.0
@@ -293,11 +261,7 @@ class _OverlapIntegrator:
         n_new = int(np.ceil(t_max / self.dt)) + 1
         if n_new <= n_old:
             return
-        t_new = np.arange(n_old, n_new) * self.dt
-        c_new = np.zeros(t_new.size)
-        for lo in range(0, t_new.size, 256):
-            block = t_new[lo : lo + 256, None]
-            c_new[lo : lo + 256] = np.cos(block * self.omega) @ self.weight
+        c_new = _cosine_sum(np.arange(n_old, n_new) * self.dt, self.omega, self.weight)
         self.c = np.concatenate([self.c, c_new])
         self.c_sq = np.concatenate([self.c_sq, c_new**2])
         self.t_max = (self.c.size - 1) * self.dt
@@ -347,8 +311,7 @@ def solve_tau_self_consistent(
     """
     if initial_tau <= 0:
         raise ValueError("initial_tau must be > 0")
-    omega, weight = _merged_weights(spectrum)
-    integ = _OverlapIntegrator(omega, weight)
+    integ = _OverlapIntegrator(*spectrum.binned())
     qs_geom, ff_geom = _geometry_sums(lattice)
 
     def one_solve(qs_g: float, ff_g: float, tau0: float) -> tuple[float, int, float, list[float]]:
@@ -409,10 +372,11 @@ def coincidence_weight(
 
     W = sum_ab w_a w_b (1[|omega_a - omega_b| < bin] +
                         1[|omega_a + omega_b| < bin]) / (sum_a w_a)^2
-    over the signed line list.  W -> 1 when every transition sits at the
-    same single frequency (the no-hyperfine limit).
+    over the signed, unbinned line list: the 10 kHz default window is finer
+    than the 1 MHz bins.  W -> 1 when every transition sits at the same
+    single frequency (the no-hyperfine limit).
     """
-    omega, weight = _merged_weights(spectrum)
+    omega, weight = spectrum.merged()
     order = np.argsort(omega)
     om, w = omega[order], weight[order]
     cum = np.concatenate([[0.0], np.cumsum(w)])

@@ -31,7 +31,7 @@ from .bathspectrum import FilmGeometry, geometry_factors, slab_b0_sq
 from .constants import GAUSS_TO_TESLA
 from .errors import UnidentifiableError
 from .relaxometry import MeasurementSet, NvConfig, nv_frequency
-from .spinmodel import SpinSystemSpec, isotope_family_spectrum
+from .spinmodel import DEFAULT_BIN, SpinSystemSpec, isotope_family_spectrum
 
 #: Default search boxes (SI units / radians).
 DEFAULT_BOXES: dict[str, tuple[float, float]] = {
@@ -43,10 +43,6 @@ DEFAULT_BOXES: dict[str, tuple[float, float]] = {
 #: Grid points per free dimension in the coarse scan.
 DEFAULT_GRID = 64
 
-#: Spectral binning of the cached line lists (rad/s); 2π × 1 MHz keeps the
-#: relative error of S_e below ~1e-5, far under experimental noise.
-DEFAULT_BIN = 2.0 * np.pi * 1e6
-
 #: θ-node spacing of the cache (radians).
 DEFAULT_THETA_STEP = np.radians(1.0)
 
@@ -55,15 +51,6 @@ FITTABLE = ("tau_e", "theta_e", "d_nv")
 
 #: Largest (τ × line) float32 work array of one node sum (4 MB).
 _CHUNK_ELEMENTS = 1 << 20
-
-
-def _bin_lines(omega: np.ndarray, weight: np.ndarray, bin_width: float):
-    """Merge lines into weight-conserving bins at their weighted means."""
-    idx = np.round(omega / bin_width).astype(np.int64)
-    order = np.argsort(idx, kind="stable")
-    _, starts = np.unique(idx[order], return_index=True)
-    w_out = np.add.reduceat(weight[order], starts)
-    return np.add.reduceat((omega * weight)[order], starts) / w_out, w_out
 
 
 def _unit_lorentzian(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -113,9 +100,7 @@ class ForwardModel:
                 spec = replace(
                     base_spec, b_field=b * GAUSS_TO_TESLA, theta_e=float(theta)
                 )
-                spectrum = isotope_family_spectrum(spec)
-                omega, weight = spectrum.merged()
-                omega, weight = _bin_lines(omega, weight, bin_width)
+                omega, weight = isotope_family_spectrum(spec).binned(bin_width)
                 w_nv = self._omega_nv[i]
                 self._cache[(i, j)] = (
                     (omega - w_nv).astype(np.float32),

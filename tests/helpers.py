@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from spinbath.bathspectrum import coupling_b0_sq
+from spinbath.bathspectrum import coupling_b0_sq, geometry_factors
 from spinbath.relaxometry import T1Record
 
 T1_FREE = 5.0e-3  # intrinsic film-free T1 used for all synthetic records
@@ -160,6 +160,47 @@ def lindblad_correlators(omega0: float, tau: float, t_grid):
             vals.append(float(np.real(np.trace(op @ rho_t))))
         out[key] = np.array(vals)
     return out
+
+
+def raw_spectral_density(m, omega):
+    """S_e(omega) summed over every raw line of every isotope, no binning.
+
+    The oracle for the binned line list that `spectral_density` sums.
+    """
+    omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
+    f_z, f_perp = geometry_factors()
+
+    def lor(x):
+        return m.tau_e / (np.square(x * m.tau_e) + 1.0)
+
+    out = np.zeros_like(omega_arr)
+    for comp in m.spectrum.components:
+        lines = np.empty_like(omega_arr)
+        for lo in range(0, omega_arr.size, 256):
+            block = omega_arr[lo : lo + 256, None]
+            lines[lo : lo + 256] = (lor(block - comp.omega) + lor(block + comp.omega)) @ comp.eta
+        out += comp.isotope.abundance * (2.0 * f_z * lor(omega_arr) + f_perp * lines)
+    out *= m.b0_sq
+    return out if np.ndim(omega) else float(out[0])
+
+
+def raw_line_tau(lattice, spectrum, lo: float, hi: float) -> float:
+    """Root of tau * rate(tau) = 1 over the raw, unbinned line list.
+
+    The oracle for `solve_tau_self_consistent`, which iterates the same
+    equation on the binned list: brentq on [lo, hi], to 1e-13 relative.
+    """
+    from scipy.optimize import brentq
+
+    from spinbath.eesolver import _OverlapIntegrator, _geometry_sums, _rate_from_integrals
+
+    integ = _OverlapIntegrator(*spectrum.merged())
+    qs_geom, ff_geom = _geometry_sums(lattice)
+
+    def excess(tau):
+        return tau * _rate_from_integrals(qs_geom, ff_geom, *integ.integrals(tau)) - 1.0
+
+    return brentq(excess, lo, hi, xtol=1e-13 * lo, rtol=1e-13)
 
 
 def golden_rule_rate_quad(model, omega: float, gamma_e: float) -> float:

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import slab_dipolar_quadrature
+from helpers import raw_spectral_density, slab_dipolar_quadrature
 from spinbath.bathspectrum import (
     NV_TILT,
     BathSpectrumModel,
@@ -205,3 +206,58 @@ class TestCupcModel:
         np.testing.assert_allclose(
             spectral_density(m2, w), scale * spectral_density(m, w), rtol=1e-12
         )
+
+
+class TestBinnedLines:
+    """S_e on the shared 1 MHz-binned lines against the raw line sum."""
+
+    #: Largest relative error per tau_e (ns), as documented at
+    #: spinmodel.DEFAULT_BIN.
+    BOUNDS = {
+        0.1: 2.5e-6,
+        0.3: 2.5e-6,
+        1.0: 2.5e-6,
+        2.0: 2.5e-6,
+        3.1: 2.5e-6,
+        10.0: 3.2e-5,
+        30.0: 1.6e-4,
+        100.0: 1e-3,
+    }
+
+    def test_binned_matches_raw_at_omega_nv(self, shipped_config):
+        from spinbath.relaxometry import nv_frequency
+
+        cfg = shipped_config
+        nv = cfg.nv_config()
+        worst = dict.fromkeys(self.BOUNDS, 0.0)
+        for gauss in cfg.bath.fields_gauss:
+            b = gauss * GAUSS_TO_TESLA
+            w_nv = nv_frequency(nv, b)
+            for theta_deg in (0.0, cfg.hyperfine.theta_e_deg, 90.0):
+                model = cupc_bath_model(
+                    cfg.spin_spec(b, math.radians(theta_deg)),
+                    2e-9,
+                    cfg.film_geometry(),
+                    isotopes=cfg.isotopes(),
+                    eta_floor=cfg.hyperfine.eta_floor,
+                )
+                for tau_ns in self.BOUNDS:
+                    m = replace(model, tau_e=tau_ns * 1e-9)
+                    rel = abs(spectral_density(m, w_nv) / raw_spectral_density(m, w_nv) - 1)
+                    worst[tau_ns] = max(worst[tau_ns], rel)
+        for tau_ns, bound in self.BOUNDS.items():
+            assert worst[tau_ns] <= bound, (tau_ns, worst[tau_ns])
+
+    def test_binned_matches_raw_on_cli_grid(self, shipped_config):
+        """The `spectrum` command's default 1200-point grid at 461 G, 2 ns."""
+        cfg = shipped_config
+        model = cupc_bath_model(
+            cfg.spin_spec(461.0 * GAUSS_TO_TESLA),
+            2e-9,
+            cfg.film_geometry(),
+            isotopes=cfg.isotopes(),
+            eta_floor=cfg.hyperfine.eta_floor,
+        )
+        omega = TWO_PI * 1e9 * np.linspace(0.1, 6.0, 1200)
+        rel = spectral_density(model, omega) / raw_spectral_density(model, omega) - 1
+        assert np.max(np.abs(rel)) <= 5e-6

@@ -216,6 +216,37 @@ def test_fit_nonpositive_bin_is_config_error(
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("grid", ["0", "-3", "3"])
+@pytest.mark.parametrize("command", ["fit", "depth"])
+def test_bad_grid_is_config_error(
+    command, grid, tmp_path, small_model, geometry, no_cache_build, capsys
+):
+    data = _two_field_table(tmp_path, small_model, geometry)
+    code = run_cli(
+        command, "--config", CONFIG_PATH, "--out", tmp_path, "--data", data,
+        "--grid", grid,
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --grid:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "key, box", [("tau_e_box_ns", [0.0, 100.0]), ("d_nv_box_nm", [-1.0, 50.0])]
+)
+def test_fit_nonpositive_box_edge_is_config_error(
+    key, box, tmp_path, small_model, geometry, no_cache_build, capsys
+):
+    tree = yaml.safe_load(CONFIG_PATH.read_text())
+    tree["fit"][key] = box
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(tree))
+    data = _two_field_table(tmp_path, small_model, geometry)
+    code = run_cli("fit", "--config", bad, "--out", tmp_path, "--data", data)
+    assert code == EXIT_CONFIG
+    assert f"fit.{key}: lower edge must be > 0" in capsys.readouterr().err
+
+
 def test_decay_fit_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     t_us = np.geomspace(10.0, 3e4, 36)

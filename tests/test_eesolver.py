@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import raw_line_tau
 from spinbath.bathspectrum import electron_only_spectrum
 from spinbath.constants import GAMMA_E, GAUSS_TO_TESLA
 from spinbath.eesolver import (
@@ -229,6 +230,23 @@ class TestSelfConsistentSolve:
     def test_initial_tau_validation(self):
         with pytest.raises(ValueError):
             solve_tau_self_consistent(toy_lattice(1.2e-9, 0.7), ELECTRON_SPEC, 0.0)
+
+    def test_binned_lines_match_raw_line_root(self, shipped_config):
+        """tau_full on the 1 MHz-binned list equals the raw-line root (721 G)."""
+        from spinbath.spinmodel import isotope_family_spectrum
+
+        cfg = shipped_config
+        lattice = cfg.lattice_model()
+        spectrum = isotope_family_spectrum(
+            cfg.spin_spec(721.0 * GAUSS_TO_TESLA, cfg.lattice_theta_e()),
+            isotopes=cfg.isotopes(),
+            eta_floor=cfg.hyperfine.eta_floor,
+        )
+        rep = solve_tau_self_consistent(
+            lattice, spectrum, 2e-9, rel_tol=1e-10, check_cutoff=False
+        )
+        raw = raw_line_tau(lattice, spectrum, 1e-10, 3e-9)
+        assert abs(rep.tau_e / raw - 1.0) <= 1e-6
 
     def test_independent_of_start(self):
         lat = toy_lattice(1.2e-9, 0.7)

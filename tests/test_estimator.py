@@ -10,6 +10,7 @@ from helpers import (
     delta_gamma_unit_loop,
     grid_local_minima_loop,
     landscape_loop,
+    raw_spectral_density,
     synth_records,
 )
 from spinbath.bathspectrum import (
@@ -19,8 +20,8 @@ from spinbath.bathspectrum import (
 from spinbath.constants import GAUSS_TO_TESLA
 from spinbath.errors import UnidentifiableError
 from spinbath.estimator import FitProblem, FitResult, confidence_region, estimate_depth, fit
-from spinbath.spinmodel import isotope_family_spectrum
-from spinbath.relaxometry import MeasurementSet, T1Record, relaxation_rate
+from spinbath.spinmodel import DEFAULT_BIN, isotope_family_spectrum
+from spinbath.relaxometry import MeasurementSet, T1Record, nv_frequency
 
 
 def make_problem(records, model, geometry, free, fixed=None, **kw):
@@ -61,7 +62,8 @@ class TestForwardModelCache:
         for i, gauss in enumerate(small_model.fields_gauss):
             spec = shipped_config.spin_spec(gauss * GAUSS_TO_TESLA, theta_e=float(theta))
             m = cupc_bath_model(spec, tau, geometry, isotopes=shipped_config.isotopes())
-            exact = relaxation_rate(m, nv, gauss * GAUSS_TO_TESLA)
+            w_nv = nv_frequency(nv, gauss * GAUSS_TO_TESLA)
+            exact = nv.gamma_e**2 * raw_spectral_density(m, w_nv)
             assert abs(cached[i] / exact - 1.0) < 1e-4
 
     def test_interpolation_between_nodes(self, small_model, geometry):
@@ -315,9 +317,10 @@ class TestVectorizedAgainstLoops:
 
     def test_bin_lines_matches_group_loop(self, shipped_config):
         spec = shipped_config.spin_spec(231.0 * GAUSS_TO_TESLA, theta_e=0.75)
-        omega, weight = isotope_family_spectrum(spec).merged()
-        width = estimator.DEFAULT_BIN
-        o_vec, w_vec = estimator._bin_lines(omega, weight, width)
+        family = isotope_family_spectrum(spec)
+        omega, weight = family.merged()
+        width = DEFAULT_BIN
+        o_vec, w_vec = family.binned(width)
         o_loop, w_loop = bin_lines_loop(omega, weight, width)
         assert o_vec.size == o_loop.size < omega.size
         assert w_vec.sum() == pytest.approx(weight.sum(), rel=1e-12)
