@@ -49,7 +49,9 @@ def main() -> None:
     for b_gauss in fields:
         b = gauss_to_tesla(float(b_gauss))
         model = cupc_bath_model(cfg.spin_spec(b), tau_e, geometry,
-                                isotopes=cfg.isotopes())
+                                isotopes=cfg.isotopes(),
+                                eta_floor=cfg.hyperfine.eta_floor,
+                                gamma_e=cfg.constants.gamma_e)
         w_nv = nv_frequency(nv, b)
         s_e = float(spectral_density(model, w_nv))
         dg = relaxation_rate(model, nv, b)

@@ -300,6 +300,8 @@ def _forward_model(cfg, fields):
         nv=cfg.nv_config(),
         theta_step=math.radians(cfg.fit.theta_step_deg),
         bin_width=2.0 * math.pi * cfg.fit.bin_mhz * 1e6,
+        isotopes=cfg.isotopes(),
+        eta_floor=cfg.hyperfine.eta_floor,
     )
 
 

@@ -26,20 +26,7 @@ D_ZFS = 2.0 * math.pi * 2.870e9
 TWO_PI = 2.0 * math.pi
 
 GAUSS_TO_TESLA = 1e-4
-NM_TO_M = 1e-9
-NS_TO_S = 1e-9
-US_TO_S = 1e-6
-MHZ_TO_RAD_S = 2.0 * math.pi * 1e6
-GHZ_TO_RAD_S = 2.0 * math.pi * 1e9
 
 
 def gauss_to_tesla(b_gauss: float) -> float:
     return b_gauss * GAUSS_TO_TESLA
-
-
-def mhz_to_rad_s(f_mhz: float) -> float:
-    return f_mhz * MHZ_TO_RAD_S
-
-
-def rad_s_to_mhz(omega: float) -> float:
-    return omega / MHZ_TO_RAD_S

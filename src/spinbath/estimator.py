@@ -31,7 +31,14 @@ from .bathspectrum import FilmGeometry, geometry_factors, slab_b0_sq
 from .constants import GAUSS_TO_TESLA
 from .errors import UnidentifiableError
 from .relaxometry import MeasurementSet, NvConfig, nv_frequency
-from .spinmodel import DEFAULT_BIN, SpinSystemSpec, isotope_family_spectrum
+from .spinmodel import (
+    CU_ISOTOPES,
+    DEFAULT_BIN,
+    DEFAULT_ETA_FLOOR,
+    Isotope,
+    SpinSystemSpec,
+    isotope_family_spectrum,
+)
 
 #: Default search boxes (SI units / radians).
 DEFAULT_BOXES: dict[str, tuple[float, float]] = {
@@ -65,6 +72,7 @@ class ForwardModel:
 
     One instance is immutable after construction and safe to share across
     fits; building it costs one diagonalization pair per (field, θ node).
+    `isotopes` and `eta_floor` are passed to `isotope_family_spectrum`.
     """
 
     def __init__(
@@ -75,6 +83,8 @@ class ForwardModel:
         theta_step: float = DEFAULT_THETA_STEP,
         bin_width: float = DEFAULT_BIN,
         theta_range: tuple[float, float] = (0.0, np.pi / 2),
+        isotopes: tuple[Isotope, ...] = CU_ISOTOPES,
+        eta_floor: float = DEFAULT_ETA_FLOOR,
     ):
         self.fields_gauss = tuple(float(b) for b in fields_gauss)
         self.nv = nv or NvConfig()
@@ -100,7 +110,9 @@ class ForwardModel:
                 spec = replace(
                     base_spec, b_field=b * GAUSS_TO_TESLA, theta_e=float(theta)
                 )
-                omega, weight = isotope_family_spectrum(spec).binned(bin_width)
+                omega, weight = isotope_family_spectrum(
+                    spec, isotopes=isotopes, eta_floor=eta_floor
+                ).binned(bin_width)
                 w_nv = self._omega_nv[i]
                 self._cache[(i, j)] = (
                     (omega - w_nv).astype(np.float32),

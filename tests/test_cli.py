@@ -247,6 +247,33 @@ def test_fit_nonpositive_box_edge_is_config_error(
     assert f"fit.{key}: lower edge must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, block, key, value, where",
+    [
+        ("spectrum", "bath", "tau_e_ns", float("nan"), "bath.tau_e_ns"),
+        (
+            "spectrum", "hyperfine", "cu_tensor_mhz", [-83.0, -83.0, None],
+            "hyperfine.cu_tensor_mhz",
+        ),
+        ("spectrum", "fit", "grid_point", 8, "fit.grid_point"),
+        ("tau-ee", "lattice", "cutoff_angstrom", 7.0, "lattice"),
+        ("tau-ee", "lattice", "beta_deg", 3.5, "lattice"),
+        ("tau-ee", "lattice", "molecular_axis", [0, 0, 0], "lattice.molecular_axis"),
+    ],
+)
+def test_bad_config_key_is_one_line_config_error(
+    command, block, key, value, where, tmp_path, capsys
+):
+    tree = yaml.safe_load(CONFIG_PATH.read_text())
+    tree[block][key] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(tree))
+    code = run_cli(command, "--config", bad, "--out", tmp_path / "out")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}") and err.count("\n") == 1
+
+
 def test_decay_fit_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     t_us = np.geomspace(10.0, 3e4, 36)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CONFIG_PATH
 from spinbath.config import config_tree, dump_config, load_config, parse_config
@@ -85,6 +88,77 @@ class TestConfigValidation:
         theta = shipped_config.lattice_theta_e()
         stated = np.radians(shipped_config.hyperfine.theta_e_deg)
         assert abs(theta - stated) < np.radians(0.1)
+
+
+def _key_paths(node, prefix=()):
+    """Paths to every mapping key and list entry of a YAML tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _all_finite(node) -> bool:
+    if isinstance(node, dict):
+        return all(_all_finite(v) for v in node.values())
+    if isinstance(node, list):
+        return all(_all_finite(v) for v in node)
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+#: Replacement values of the fuzz test, by name.
+BAD_VALUES = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": float("-inf"),
+    "null": None,
+    "string": "soon",
+    "bool": True,
+    "short list": [1.0],
+    "long list": [1.0, 2.0, 3.0, 4.0],
+    "mapping": {"x": 1.0},
+}
+
+
+class TestConfigFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        path=st.sampled_from(tuple(_key_paths(shipped_tree()))),
+        edit=st.sampled_from((*BAD_VALUES, "delete", "misspell")),
+    )
+    def test_single_key_mutation_loads_finite_or_raises_config_error(
+        self, path, edit
+    ):
+        """One damaged key either loads a finite config or is a ConfigError."""
+        tree = shipped_tree()
+        *parents, key = path
+        node = tree
+        for k in parents:
+            node = node[k]
+        if edit == "delete":
+            del node[key]
+        elif edit == "misspell":
+            assume(isinstance(key, str))
+            node[key + "_"] = node.pop(key)
+        else:
+            node[key] = BAD_VALUES[edit]
+        try:
+            cfg = parse_config(tree)
+        except ConfigError:
+            return
+        assert edit != "misspell", "a misspelt key was ignored"
+        assert _all_finite(config_tree(cfg))
+        # the factories take whatever parsing accepted
+        for b_gauss in cfg.bath.fields_gauss:
+            cfg.spin_spec(b_gauss * 1e-4)
+        cfg.isotopes(), cfg.film_geometry(), cfg.nv_config()
+        cfg.fit_boxes(), cfg.nuisance_intervals()
+        assert math.isfinite(cfg.lattice_theta_e())
+        try:
+            cfg.lattice_model()
+        except ConfigError:
+            pass
 
 
 class TestMeasurementIO:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 import spinbath.estimator as estimator
 from helpers import (
@@ -62,6 +63,35 @@ class TestForwardModelCache:
         for i, gauss in enumerate(small_model.fields_gauss):
             spec = shipped_config.spin_spec(gauss * GAUSS_TO_TESLA, theta_e=float(theta))
             m = cupc_bath_model(spec, tau, geometry, isotopes=shipped_config.isotopes())
+            w_nv = nv_frequency(nv, gauss * GAUSS_TO_TESLA)
+            exact = nv.gamma_e**2 * raw_spectral_density(m, w_nv)
+            assert abs(cached[i] / exact - 1.0) < 1e-4
+
+    def test_node_value_follows_config_isotopes(self, geometry):
+        """The CLI's forward model uses the config's isotopes and eta_floor."""
+        from conftest import CONFIG_PATH
+        from spinbath.cli import _forward_model
+        from spinbath.config import parse_config
+
+        tree = yaml.safe_load(CONFIG_PATH.read_text())
+        tree["hyperfine"]["isotopes"] = [
+            {"label": "65Cu", "abundance": 1.0, "scale": 1.07}
+        ]
+        tree["hyperfine"]["eta_floor"] = 1e-6
+        tree["fit"]["theta_step_deg"] = 45.0
+        cfg = parse_config(tree)
+        model = _forward_model(cfg, (231.0, 461.0))
+        theta, tau = float(model.theta_nodes[1]), 2e-9
+        cached = model.delta_gammas(tau, theta, coupling_b0_sq(geometry))
+        nv = cfg.nv_config()
+        for i, gauss in enumerate(model.fields_gauss):
+            m = cupc_bath_model(
+                cfg.spin_spec(gauss * GAUSS_TO_TESLA, theta_e=theta),
+                tau,
+                geometry,
+                isotopes=cfg.isotopes(),
+                eta_floor=cfg.hyperfine.eta_floor,
+            )
             w_nv = nv_frequency(nv, gauss * GAUSS_TO_TESLA)
             exact = nv.gamma_e**2 * raw_spectral_density(m, w_nv)
             assert abs(cached[i] / exact - 1.0) < 1e-4
