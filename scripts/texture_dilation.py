@@ -18,6 +18,7 @@ from spinbath.eesolver import (
     no_hyperfine_tau,
     solve_tau_self_consistent,
 )
+from spinbath.errors import ConvergenceError
 from spinbath.spinmodel import isotope_family_spectrum
 
 
@@ -27,7 +28,6 @@ def dilated(base: LatticeModel, s: float) -> LatticeModel:
         sites=base.sites,
         field_dir=base.field_dir,
         cutoff=base.cutoff * s,
-        molecular_axis=base.molecular_axis,
     )
 
 
@@ -41,6 +41,7 @@ def main() -> None:
     args = ap.parse_args()
 
     cfg = load_config(args.config)
+    gamma_e = cfg.constants.gamma_e
     base = cfg.lattice_model()
     theta = cfg.lattice_theta_e()
     spectrum = isotope_family_spectrum(
@@ -57,14 +58,14 @@ def main() -> None:
     full_ref = None
     for s in scales:
         lat = dilated(base, s)
-        nh = no_hyperfine_tau(lat)
-        dl = delta_approx_tau(lat, spectrum)
-        rep = solve_tau_self_consistent(
-            lat, spectrum, args.initial_tau_ns * 1e-9
-        )
-        if not rep.converged:
-            print(f"{s:5.2f}  solve did not converge "
-                  f"(residual {rep.residual:.1e})")
+        nh = no_hyperfine_tau(lat, gamma_e=gamma_e)
+        dl = delta_approx_tau(lat, spectrum, gamma_e=gamma_e)
+        try:
+            rep = solve_tau_self_consistent(
+                lat, spectrum, args.initial_tau_ns * 1e-9, gamma_e=gamma_e
+            )
+        except ConvergenceError as exc:
+            print(f"{s:5.2f}  solve did not converge ({exc})")
             continue
         if full_ref is None:
             full_ref = rep.tau_e

@@ -407,7 +407,8 @@ def cmd_tau_ee(run: _Run) -> int:
     lattice = cfg.lattice_model()
     theta = cfg.lattice_theta_e()
     initial = run.args.initial_tau_ns * 1e-9
-    tau_nh = no_hyperfine_tau(lattice)
+    gamma_e = cfg.constants.gamma_e
+    tau_nh = no_hyperfine_tau(lattice, gamma_e=gamma_e)
 
     per_field = []
     orderings = []
@@ -417,8 +418,10 @@ def cmd_tau_ee(run: _Run) -> int:
             isotopes=cfg.isotopes(),
             eta_floor=cfg.hyperfine.eta_floor,
         )
-        report = solve_tau_self_consistent(lattice, spectrum, initial_tau=initial)
-        tau_delta = delta_approx_tau(lattice, spectrum)
+        report = solve_tau_self_consistent(
+            lattice, spectrum, initial_tau=initial, gamma_e=gamma_e
+        )
+        tau_delta = delta_approx_tau(lattice, spectrum, gamma_e=gamma_e)
         ordered = tau_nh <= report.tau_e <= tau_delta
         orderings.append(ordered)
         per_field.append(

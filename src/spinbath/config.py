@@ -184,14 +184,21 @@ class GeometryBlock:
     n_e_interval_per_nm3: tuple[float, float] = _key(_pair())
 
     def __post_init__(self) -> None:
-        for name, val, iv in (
-            ("d_nv", self.d_nv_nm, self.d_nv_interval_nm),
-            ("h", self.h_nm, self.h_interval_nm),
-            ("n_e", self.n_e_per_nm3, self.n_e_interval_per_nm3),
+        # the nuisance sweep evaluates b0^2 at the interval edges, and a zero
+        # or negative depth, thickness or density has no physical reading
+        if not self.n_e_per_nm3 > 0:
+            raise ConfigError(f"geometry.n_e_per_nm3: must be > 0, got {self.n_e_per_nm3}")
+        for key, val in (
+            ("d_nv_interval_nm", self.d_nv_nm),
+            ("h_interval_nm", self.h_nm),
+            ("n_e_interval_per_nm3", self.n_e_per_nm3),
         ):
-            if not (iv[0] <= val <= iv[1]):
+            lo, hi = getattr(self, key)
+            if not lo > 0:
+                raise ConfigError(f"geometry.{key}: lower edge must be > 0, got {lo}")
+            if not lo <= val <= hi:
                 raise ConfigError(
-                    f"geometry.{name}_interval: nominal {val} outside interval {iv}"
+                    f"geometry.{key}: nominal {val} outside interval {(lo, hi)}"
                 )
 
 
@@ -336,11 +343,6 @@ class ToolkitConfig:
                 sites=np.asarray(lat.sites_frac, dtype=float),
                 field_dir=np.asarray(lat.field_direction, dtype=float),
                 cutoff=lat.cutoff_angstrom * 1e-10,
-                molecular_axis=(
-                    None
-                    if lat.molecular_axis is None
-                    else np.asarray(lat.molecular_axis, dtype=float)
-                ),
             )
         except ValueError as exc:
             raise ConfigError(f"lattice: {exc}") from exc

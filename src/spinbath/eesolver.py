@@ -56,16 +56,13 @@ class LatticeModel:
     All lengths in meters.  `cell` rows are the lattice vectors; `sites`
     are fractional positions of molecules within the cell; `field_dir` is
     the external-field direction expressed in the crystal frame, which
-    fixes every pair angle Theta_nm; `molecular_axis` (crystal frame) is
-    carried along for bookkeeping so a config fully determines both the
-    lattice geometry and the single-molecule spectrum orientation.
+    fixes every pair angle Theta_nm.
     """
 
     cell: np.ndarray  # (3, 3) lattice vectors, rows
     sites: np.ndarray  # (n_sites, 3) fractional coordinates
     field_dir: np.ndarray  # (3,) crystal-frame unit vector
     cutoff: float  # pair-list cutoff radius (m)
-    molecular_axis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         cell = np.asarray(self.cell, dtype=float)
@@ -96,7 +93,6 @@ class LatticeModel:
             sites=self.sites,
             field_dir=self.field_dir,
             cutoff=cutoff,
-            molecular_axis=self.molecular_axis,
         )
 
 
@@ -137,13 +133,11 @@ def pair_geometry(lattice: LatticeModel) -> list[tuple[float, float]]:
     # supercell extent: enough cells to cover the cutoff sphere
     inv = np.linalg.inv(cell)
     extents = np.ceil(lattice.cutoff * np.linalg.norm(inv, axis=0)).astype(int) + 1
-    pairs: list[tuple[float, float]] = []
     fdir = lattice.field_dir
     grids = [np.arange(-e, e + 1) for e in extents]
     ii, jj, kk = np.meshgrid(*grids, indexing="ij")
     offsets = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
-    n_sites = lattice.sites.shape[0]
-    per_site: list[list[tuple[float, float]]] = []
+    pairs: list[tuple[float, float]] = []
     for s0 in lattice.sites:
         vecs = ((lattice.sites[None, :, :] + offsets[:, None, :]) - s0) @ cell
         vecs = vecs.reshape(-1, 3)
@@ -151,13 +145,8 @@ def pair_geometry(lattice: LatticeModel) -> list[tuple[float, float]]:
         keep = (dist > 1e-15) & (dist <= lattice.cutoff)
         vecs, dist = vecs[keep], dist[keep]
         cosang = np.clip(vecs @ fdir / dist, -1.0, 1.0)
-        per_site.append(list(zip(dist.tolist(), np.arccos(cosang).tolist())))
-    if n_sites == 1:
-        pairs = per_site[0]
-    else:
-        # average over inequivalent reference sites: weight 1/n_sites each
-        # by replicating the union; downstream sums divide by multiplicity
-        pairs = [p for plist in per_site for p in plist]
+        # the union over reference sites: downstream sums divide by n_sites
+        pairs += zip(dist.tolist(), np.arccos(cosang).tolist())
     if not pairs:
         raise ValueError("empty pair list: cutoff too small for this cell")
     return pairs
@@ -170,9 +159,11 @@ def _pair_arrays(lattice: LatticeModel) -> tuple[np.ndarray, np.ndarray, int]:
     return r, theta, lattice.sites.shape[0]
 
 
-def dipolar_prefactor(r: float | np.ndarray) -> float | np.ndarray:
+def dipolar_prefactor(
+    r: float | np.ndarray, gamma_e: float = GAMMA_E
+) -> float | np.ndarray:
     """(mu0 hbar gamma_e / 4 pi)^2 * S(S+1) / (3 r^6), in tesla^2."""
-    c = (MU_0 * HBAR * GAMMA_E / (4.0 * np.pi)) ** 2
+    c = (MU_0 * HBAR * gamma_e / (4.0 * np.pi)) ** 2
     return c * S_SPIN_FACTOR / (3.0 * np.asarray(r) ** 6)
 
 
@@ -191,7 +182,9 @@ def flip_flop_factor(theta: float | np.ndarray) -> float | np.ndarray:
     return (5.0 - 6.0 * c2 + 9.0 * c2**2) / 4.0
 
 
-def dipolar_coupling(r: float | np.ndarray) -> float | np.ndarray:
+def dipolar_coupling(
+    r: float | np.ndarray, gamma_e: float = GAMMA_E
+) -> float | np.ndarray:
     """sqrt(S(S+1)/3) * (mu0 hbar gamma_e^2 / 4 pi) / r^3, rad/s.
 
     Scalar magnitude of the D matrix; multiply by (3 n_mu n_nu -
@@ -201,7 +194,7 @@ def dipolar_coupling(r: float | np.ndarray) -> float | np.ndarray:
         np.sqrt(S_SPIN_FACTOR / 3.0)
         * MU_0
         * HBAR
-        * GAMMA_E**2
+        * gamma_e**2
         / (4.0 * np.pi)
         / np.asarray(r) ** 3
     )
@@ -280,14 +273,14 @@ class _OverlapIntegrator:
 
 
 def _rate_from_integrals(
-    qs_geom: float, ff_geom: float, i1: float, i2: float
+    qs_geom: float, ff_geom: float, i1: float, i2: float, gamma_e: float = GAMMA_E
 ) -> float:
-    return GAMMA_E**2 * (qs_geom * i1 + ff_geom * 2.0 * i2)
+    return gamma_e**2 * (qs_geom * i1 + ff_geom * 2.0 * i2)
 
 
-def _geometry_sums(lattice: LatticeModel) -> tuple[float, float]:
+def _geometry_sums(lattice: LatticeModel, gamma_e: float = GAMMA_E) -> tuple[float, float]:
     r, theta, n_sites = _pair_arrays(lattice)
-    pref = dipolar_prefactor(r)
+    pref = dipolar_prefactor(r, gamma_e)
     qs_geom = float(np.sum(pref * quasi_static_factor(theta))) / n_sites
     ff_geom = float(np.sum(pref * flip_flop_factor(theta))) / n_sites
     return qs_geom, ff_geom
@@ -301,6 +294,7 @@ def solve_tau_self_consistent(
     max_iter: int = 200,
     damping: float = 0.5,
     check_cutoff: bool = True,
+    gamma_e: float = GAMMA_E,
 ) -> TauSolveReport:
     """Damped fixed-point solve of the self-consistent tau_e equation.
 
@@ -312,14 +306,14 @@ def solve_tau_self_consistent(
     if initial_tau <= 0:
         raise ValueError("initial_tau must be > 0")
     integ = _OverlapIntegrator(*spectrum.binned())
-    qs_geom, ff_geom = _geometry_sums(lattice)
+    qs_geom, ff_geom = _geometry_sums(lattice, gamma_e)
 
     def one_solve(qs_g: float, ff_g: float, tau0: float) -> tuple[float, int, float, list[float]]:
         tau = tau0
         traj = [tau]
         for it in range(1, max_iter + 1):
             i1, i2 = integ.integrals(tau)
-            rate = _rate_from_integrals(qs_g, ff_g, i1, i2)
+            rate = _rate_from_integrals(qs_g, ff_g, i1, i2, gamma_e)
             if not np.isfinite(rate) or rate <= 0:
                 raise ConvergenceError(
                     f"fixed-point rate became non-positive at iteration {it}"
@@ -340,7 +334,7 @@ def solve_tau_self_consistent(
     cutoff_change = float("nan")
     if check_cutoff:
         wide = lattice.with_cutoff(2.0 * lattice.cutoff)
-        qs2, ff2 = _geometry_sums(wide)
+        qs2, ff2 = _geometry_sums(wide, gamma_e)
         tau2, _, _, _ = one_solve(qs2, ff2, tau)
         cutoff_change = abs(tau2 - tau) / tau
 
@@ -354,14 +348,14 @@ def solve_tau_self_consistent(
     )
 
 
-def no_hyperfine_tau(lattice: LatticeModel) -> float:
+def no_hyperfine_tau(lattice: LatticeModel, gamma_e: float = GAMMA_E) -> float:
     """tau when all transitions are assumed coincident (lower bound).
 
     1/tau = sqrt( sum_{m != n} sum_{mu,nu in {x,y}} (D^{n,m}_{mu,nu})^2 )
     where the transverse block sum equals dipolar_coupling(r)^2 * F(Theta).
     """
     r, theta, n_sites = _pair_arrays(lattice)
-    rate_sq = np.sum(dipolar_coupling(r) ** 2 * flip_flop_factor(theta)) / n_sites
+    rate_sq = np.sum(dipolar_coupling(r, gamma_e) ** 2 * flip_flop_factor(theta)) / n_sites
     return float(1.0 / np.sqrt(rate_sq))
 
 
@@ -397,6 +391,7 @@ def delta_approx_tau(
     lattice: LatticeModel,
     spectrum: TransitionSpectrum,
     bin_width: float = DEFAULT_COINCIDENCE_BIN,
+    gamma_e: float = GAMMA_E,
 ) -> float:
     """tau with Lorentzians collapsed to coincidence windows (upper bound).
 
@@ -408,7 +403,7 @@ def delta_approx_tau(
     w_hat = coincidence_weight(spectrum, bin_width)
     if w_hat <= 0.0:
         return float("inf")
-    return no_hyperfine_tau(lattice) / np.sqrt(w_hat)
+    return no_hyperfine_tau(lattice, gamma_e) / np.sqrt(w_hat)
 
 
 def total_correlation_rate(

@@ -82,17 +82,16 @@ class ForwardModel:
         nv: NvConfig | None = None,
         theta_step: float = DEFAULT_THETA_STEP,
         bin_width: float = DEFAULT_BIN,
-        theta_range: tuple[float, float] = (0.0, np.pi / 2),
         isotopes: tuple[Isotope, ...] = CU_ISOTOPES,
         eta_floor: float = DEFAULT_ETA_FLOOR,
     ):
         self.fields_gauss = tuple(float(b) for b in fields_gauss)
         self.nv = nv or NvConfig()
         self.base_spec = base_spec
-        n_nodes = int(np.floor((theta_range[1] - theta_range[0]) / theta_step)) + 1
-        self.theta_nodes = theta_range[0] + theta_step * np.arange(n_nodes)
-        if self.theta_nodes[-1] < theta_range[1] - 1e-12:
-            self.theta_nodes = np.append(self.theta_nodes, theta_range[1])
+        n_nodes = int(np.floor((np.pi / 2) / theta_step)) + 1
+        self.theta_nodes = theta_step * np.arange(n_nodes)
+        if self.theta_nodes[-1] < np.pi / 2 - 1e-12:
+            self.theta_nodes = np.append(self.theta_nodes, np.pi / 2)
         self.bin_width = bin_width
         f_z, f_perp = geometry_factors()
         self._f_z, self._f_perp = f_z, f_perp
@@ -216,7 +215,6 @@ class FitProblem:
     free: tuple[str, ...]
     fixed: dict[str, tuple[float, tuple[float, float]]] = field(default_factory=dict)
     boxes: dict[str, tuple[float, float]] = field(default_factory=dict)
-    sigma_weighting: bool = True  # False: divide residuals by ΔΓ₁^exp
 
     def __post_init__(self) -> None:
         known = {"tau_e", "theta_e", "d_nv", "h", "n_e"}
@@ -336,12 +334,11 @@ def fit(problem: FitProblem, grid_points: int = DEFAULT_GRID) -> FitResult:
     grids = [_param_grid(problem, name, grid_points) for name in free]
     field_idx = problem._field_indices()
     exp, sig = problem.data.delta_gammas()
-    denom = sig if problem.sigma_weighting else np.abs(exp)
 
     def objective(vals):
-        """σ-normalized (default) χ² at broadcastable free-parameter values."""
+        """σ-normalized χ² at broadcastable free-parameter values."""
         th = _model_prediction(problem, dict(zip(free, vals)), field_idx)
-        return np.sum(((exp - th) / denom) ** 2, axis=-1)
+        return np.sum(((exp - th) / sig) ** 2, axis=-1)
 
     # the whole landscape is one broadcast over the sparse mesh
     obj = objective(np.meshgrid(*grids, indexing="ij", sparse=True))

@@ -227,6 +227,72 @@ def golden_rule_rate_quad(model, omega: float, gamma_e: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# complex-kron oracles for the real spin Hamiltonian and its S_x elements
+# ---------------------------------------------------------------------------
+
+
+def complex_kron_hamiltonian(spec):
+    """H = sum_mu S_mu (x) B_mu assembled from complex Kronecker products.
+
+    The oracle for `build_hamiltonian`, which writes the same matrix as real
+    electron blocks.  Every lab-tensor entry enters, zero or not, so a real
+    assembly that drops or flips a term differs from this one elementwise.
+    """
+    from functools import reduce
+
+    from spinbath.constants import HBAR, MU_B
+    from spinbath.spinmodel import _g_tensor_lab, _lab_hyperfine_tensors, spin_operators
+
+    nuclei = _lab_hyperfine_tensors(spec)
+    dims = [int(round(2 * s + 1)) for s, _ in nuclei]
+    n = int(np.prod(dims)) if dims else 1
+
+    def nuclear_op(site, op):
+        factors = [op if k == site else np.eye(d, dtype=complex) for k, d in enumerate(dims)]
+        return reduce(np.kron, factors, np.eye(1, dtype=complex))
+
+    zeeman_row = (MU_B * spec.b_field / HBAR) * _g_tensor_lab(spec)[2, :]
+    b_ops = [zeeman_row[mu] * np.eye(n, dtype=complex) for mu in range(3)]
+    for site, (s_nuc, a_lab) in enumerate(nuclei):
+        site_ops = [nuclear_op(site, o) for o in spin_operators(s_nuc)]
+        for mu in range(3):
+            for nu in range(3):
+                b_ops[mu] += a_lab[mu, nu] * site_ops[nu]
+    return sum(np.kron(s, b) for s, b in zip(spin_operators(0.5), b_ops))
+
+
+def two_product_spectrum(spec, eta_floor=1e-12):
+    """(omega, eta, eta_sum_all, eta_static, eta_pruned) from the dense S_x.
+
+    The oracle for `transition_spectrum`: diagonalizes the complex-kron H
+    (as a real matrix when its imaginary part vanishes, as the real path
+    always gives) and takes <i|S_x|j> as V^H (S_x (x) 1) V, two full-size
+    products, with the same static-bin and floor bookkeeping.
+    """
+    from spinbath.spinmodel import DEGENERACY_FLOOR, spin_operators
+
+    h = complex_kron_hamiltonian(spec)
+    if not np.any(h.imag):
+        h = h.real
+    evals, evecs = np.linalg.eigh(h)
+    m_states = h.shape[0] // 2
+    sx_full = np.kron(spin_operators(0.5)[0].real, np.eye(m_states))
+    w = evecs.conj().T @ sx_full @ evecs
+    eta_mat = (w.real**2 + w.imag**2) / m_states
+    omega_mat = evals[:, None] - evals[None, :]
+    oscillating = ~np.eye(h.shape[0], dtype=bool) & (np.abs(omega_mat) >= DEGENERACY_FLOOR)
+    keep = oscillating & (eta_mat >= eta_floor)
+    order = np.argsort(omega_mat[keep])
+    return (
+        omega_mat[keep][order],
+        eta_mat[keep][order],
+        float(eta_mat.sum()),
+        float(eta_mat[~oscillating].sum()),
+        float(eta_mat[oscillating & ~keep].sum()),
+    )
+
+
+# ---------------------------------------------------------------------------
 # per-point loop oracles for the estimator's vectorized paths
 # ---------------------------------------------------------------------------
 
@@ -285,12 +351,11 @@ def landscape_loop(problem, grids):
 
     field_idx = problem._field_indices()
     exp, sig = problem.data.delta_gammas()
-    denom = sig if problem.sigma_weighting else np.abs(exp)
     obj = np.empty(tuple(g.size for g in grids))
     for idx, vals in _grid_points(grids):
         params = dict(zip(problem.free, vals))
         th = _model_prediction(problem, params, field_idx)
-        obj[idx] = float(np.sum(((exp - th) / denom) ** 2))
+        obj[idx] = float(np.sum(((exp - th) / sig) ** 2))
     return obj
 
 

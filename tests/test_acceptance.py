@@ -249,7 +249,6 @@ def test_criterion_06_tau_bracketing_and_dilation(tmp_path, shipped_config):
             sites=base.sites,
             field_dir=base.field_dir,
             cutoff=base.cutoff * s,
-            molecular_axis=base.molecular_axis,
         )
 
     spectrum = isotope_family_spectrum(

@@ -96,6 +96,36 @@ def test_tau_ee_requires_lattice_block(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_tau_ee_uses_config_gamma_e(tmp_path, shipped_config):
+    """constants.gamma_e_ghz_per_t reaches both bounds of tau-ee."""
+    from spinbath.constants import gauss_to_tesla
+    from spinbath.eesolver import delta_approx_tau, no_hyperfine_tau
+    from spinbath.spinmodel import isotope_family_spectrum
+
+    tree = yaml.safe_load(CONFIG_PATH.read_text())
+    tree["constants"]["gamma_e_ghz_per_t"] = 30.0
+    tree["bath"]["fields_gauss"] = [721.0]
+    path = tmp_path / "gamma.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    assert run_cli("tau-ee", "--config", path, "--out", tmp_path) == EXIT_OK
+    payload = json.loads((tmp_path / "tau_ee.json").read_text())
+
+    cfg = shipped_config
+    lattice = cfg.lattice_model()
+    spectrum = isotope_family_spectrum(
+        cfg.spin_spec(gauss_to_tesla(721.0), cfg.lattice_theta_e()),
+        isotopes=cfg.isotopes(),
+        eta_floor=cfg.hyperfine.eta_floor,
+    )
+    ratio = (cfg.constants.gamma_e_ghz_per_t / 30.0) ** 2
+    assert payload["tau_no_hyperfine_ns"] == pytest.approx(
+        ratio * no_hyperfine_tau(lattice) * 1e9, rel=1e-12
+    )
+    assert payload["per_field"][0]["tau_delta_ns"] == pytest.approx(
+        ratio * delta_approx_tau(lattice, spectrum) * 1e9, rel=1e-12
+    )
+
+
 def test_t1_malformed_csv_is_data_error(tmp_path):
     data = tmp_path / "t1.csv"
     data.write_text("nv_id,b_gauss\nNV1,231\n")
@@ -259,6 +289,16 @@ def test_fit_nonpositive_box_edge_is_config_error(
         ("tau-ee", "lattice", "cutoff_angstrom", 7.0, "lattice"),
         ("tau-ee", "lattice", "beta_deg", 3.5, "lattice"),
         ("tau-ee", "lattice", "molecular_axis", [0, 0, 0], "lattice.molecular_axis"),
+        ("spectrum", "geometry", "n_e_per_nm3", 0, "geometry.n_e_per_nm3"),
+        (
+            "spectrum", "geometry", "d_nv_interval_nm", [0.0, 8.0],
+            "geometry.d_nv_interval_nm",
+        ),
+        ("spectrum", "geometry", "h_interval_nm", [-1.0, 22.0], "geometry.h_interval_nm"),
+        (
+            "spectrum", "geometry", "n_e_interval_per_nm3", [0.0, 1.889],
+            "geometry.n_e_interval_per_nm3",
+        ),
     ],
 )
 def test_bad_config_key_is_one_line_config_error(

@@ -292,6 +292,48 @@ class TestCoincidenceLimits:
         )
 
 
+class TestGammaE:
+    """gamma_e enters the solver and both bounds, not only the module constant."""
+
+    GAMMA_2 = 2.0 * np.pi * 30.0e9
+
+    def test_bounds_scale_as_inverse_gamma_squared(self):
+        from spinbath.spinmodel import SpinSystemSpec, isotope_family_spectrum
+
+        lat = toy_lattice(1.2e-9, 0.8)
+        spectrum = isotope_family_spectrum(
+            SpinSystemSpec(
+                b_field=372.0 * GAUSS_TO_TESLA, theta_e=0.7, g_parallel=2.16,
+                g_perp=2.04, n_nitrogens=1,
+            )
+        )
+        assert coincidence_weight(spectrum) < 0.5
+        ratio = (GAMMA_E / self.GAMMA_2) ** 2
+        assert no_hyperfine_tau(lat, gamma_e=self.GAMMA_2) == pytest.approx(
+            ratio * no_hyperfine_tau(lat), rel=1e-12
+        )
+        assert delta_approx_tau(lat, spectrum, gamma_e=self.GAMMA_2) == pytest.approx(
+            ratio * delta_approx_tau(lat, spectrum), rel=1e-12
+        )
+
+    def test_solve_equals_contracted_lattice(self):
+        """Rates go as gamma_e^4 / r^6, so gamma_e -> k gamma_e is r -> k^(-2/3) r."""
+        k = self.GAMMA_2 / GAMMA_E
+        s = k ** (-2.0 / 3.0)
+        base = toy_lattice(1.2e-9, 0.8)
+        contracted = LatticeModel(
+            cell=base.cell * s, sites=base.sites, field_dir=base.field_dir,
+            cutoff=base.cutoff * s,
+        )
+        kw = dict(rel_tol=1e-10, check_cutoff=False)
+        got = solve_tau_self_consistent(base, ELECTRON_SPEC, 1e-9, gamma_e=self.GAMMA_2, **kw)
+        want = solve_tau_self_consistent(contracted, ELECTRON_SPEC, 1e-9, **kw)
+        assert got.tau_e == pytest.approx(want.tau_e, rel=1e-9)
+        assert got.tau_e != pytest.approx(
+            solve_tau_self_consistent(base, ELECTRON_SPEC, 1e-9, **kw).tau_e, rel=1e-2
+        )
+
+
 class TestTotalRate:
     def test_additivity_and_bundle(self):
         assert total_correlation_rate(1.0, 2.0, 3.0) == 6.0

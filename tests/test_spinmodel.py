@@ -17,8 +17,9 @@ from spinbath.spinmodel import (
     rotate_tensor,
     spin_operators,
     transition_spectrum,
-    transverse_electron_operator,
 )
+
+from helpers import complex_kron_hamiltonian, two_product_spectrum
 
 
 def default_spec(b_gauss=461.0, theta_deg=43.05, **kw):
@@ -86,6 +87,50 @@ class TestHamiltonian:
         np.testing.assert_allclose(comp.eta[~plus].sum(), 0.25, rtol=1e-8)
 
 
+#: (isotope index, nitrogens, theta_e, B in tesla): both isotopes, 0-4
+#: nitrogens, theta_e at 0, pi/2 and off-axis, zero and nonzero field.
+ORACLE_SPECS = [
+    (iso, n, theta, b)
+    for iso in (0, 1)
+    for n, theta, b in (
+        (0, 0.0, 0.0),
+        (1, math.pi / 2, 0.0372),
+        (2, 0.7312, 0.0),
+        (3, 0.0, 0.0721),
+        (4, math.pi / 2, 0.0),
+        (4, 1.1893, 0.0461),
+    )
+]
+
+
+@pytest.mark.parametrize("iso, n_nitrogens, theta, b", ORACLE_SPECS)
+def test_real_path_matches_complex_kron_oracle(iso, n_nitrogens, theta, b):
+    """The real block H and its one-product S_x match the complex-kron path."""
+    spec = SpinSystemSpec(
+        b_field=b,
+        theta_e=theta,
+        g_parallel=2.16,
+        g_perp=2.04,
+        isotope=CU_ISOTOPES[iso],
+        n_nitrogens=n_nitrogens,
+    )
+    h = build_hamiltonian(spec)
+    h_ref = complex_kron_hamiltonian(spec)
+    assert h.dtype == np.float64
+    assert np.abs(h - h_ref).max() <= 1e-14 * np.abs(h_ref).max()
+
+    comp = transition_spectrum(spec)
+    omega, eta, sum_all, static, pruned = two_product_spectrum(spec)
+    np.testing.assert_array_equal(comp.omega, omega)
+    np.testing.assert_allclose(comp.eta, eta, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        [comp.eta_sum_all, comp.eta_static, comp.eta_pruned],
+        [sum_all, static, pruned],
+        rtol=0,
+        atol=1e-15,
+    )
+
+
 class TestTransitionSpectrum:
     def test_trace_identity_default(self):
         comp = transition_spectrum(default_spec())
@@ -134,10 +179,6 @@ class TestTransitionSpectrum:
             comp.eta[comp.omega < 0][order_neg],
             rtol=1e-9,
         )
-
-    def test_transverse_operator_traceless(self):
-        op = transverse_electron_operator(default_spec())
-        assert abs(np.trace(op)) < 1e-12
 
 
 class TestIsotopeFamily:
