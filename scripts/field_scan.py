@@ -1,8 +1,8 @@
 """Sweep the bias field and tabulate the film-induced NV relaxation.
 
-For each field the composite spin system is re-diagonalized (~1.5 s per
-point at the full 648-state default), so the default grid is deliberately
-coarse.  Writes a CSV next to the printed table when --out is given.
+For each field the composite spin system is re-diagonalized, once per
+copper isotope.  Writes a CSV next to the printed table when --out is
+given.
 
 Usage:
     python scripts/field_scan.py --config configs/cupc.yaml --points 25
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spinbath.bathspectrum import cupc_bath_model, spectral_density
+from spinbath.bathspectrum import spectral_density
 from spinbath.config import load_config
 from spinbath.constants import TWO_PI, gauss_to_tesla
 from spinbath.io import write_csv
@@ -48,10 +48,7 @@ def main() -> None:
     rows = []
     for b_gauss in fields:
         b = gauss_to_tesla(float(b_gauss))
-        model = cupc_bath_model(cfg.spin_spec(b), tau_e, geometry,
-                                isotopes=cfg.isotopes(),
-                                eta_floor=cfg.hyperfine.eta_floor,
-                                gamma_e=cfg.constants.gamma_e)
+        model = cfg.bath_model(b, tau_e)
         w_nv = nv_frequency(nv, b)
         s_e = float(spectral_density(model, w_nv))
         dg = relaxation_rate(model, nv, b)

@@ -54,8 +54,7 @@ def main() -> None:
         base_spec=cfg.spin_spec(1e-4),
         nv=cfg.nv_config(),
         theta_step=math.radians(args.theta_step_deg),
-        isotopes=cfg.isotopes(),
-        eta_floor=cfg.hyperfine.eta_floor,
+        **cfg.spectrum_args(),
     )
     print(f"# forward-model cache: {len(model.fields_gauss)} fields x "
           f"{model.theta_nodes.size} orientations in {time.monotonic() - t0:.0f} s")

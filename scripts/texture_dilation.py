@@ -45,9 +45,7 @@ def main() -> None:
     base = cfg.lattice_model()
     theta = cfg.lattice_theta_e()
     spectrum = isotope_family_spectrum(
-        cfg.spin_spec(gauss_to_tesla(args.field), theta),
-        isotopes=cfg.isotopes(),
-        eta_floor=cfg.hyperfine.eta_floor,
+        cfg.spin_spec(gauss_to_tesla(args.field), theta), **cfg.spectrum_args()
     )
     scales = [float(s) for s in args.scales.split(",")]
 

@@ -165,7 +165,7 @@ class _Run:
 def cmd_spectrum(run: _Run) -> int:
     import numpy as np
 
-    from .bathspectrum import cupc_bath_model, spectral_density
+    from .bathspectrum import spectral_density
     from .constants import TWO_PI, gauss_to_tesla
     from .relaxometry import nv_frequency, relaxation_rate
 
@@ -175,7 +175,6 @@ def cmd_spectrum(run: _Run) -> int:
     theta = math.radians(
         a.theta_e_deg if a.theta_e_deg is not None else cfg.hyperfine.theta_e_deg
     )
-    geometry = cfg.film_geometry()
     nv = cfg.nv_config()
 
     if a.sweep:
@@ -183,14 +182,7 @@ def cmd_spectrum(run: _Run) -> int:
         fields = np.linspace(lo, hi, int(n))
         rows = []
         for b in fields:
-            model = cupc_bath_model(
-                cfg.spin_spec(gauss_to_tesla(b), theta),
-                tau_e,
-                geometry,
-                isotopes=cfg.isotopes(),
-                eta_floor=cfg.hyperfine.eta_floor,
-                gamma_e=cfg.constants.gamma_e,
-            )
+            model = cfg.bath_model(gauss_to_tesla(b), tau_e, theta)
             w_nv = nv_frequency(nv, gauss_to_tesla(b))
             s_nv = spectral_density(model, w_nv)
             rows.append(
@@ -211,14 +203,7 @@ def cmd_spectrum(run: _Run) -> int:
         print(f"spectrum: field sweep {lo:g}-{hi:g} G, peak rate at {peak[0]:.1f} G")
     else:
         b_tesla = gauss_to_tesla(a.field)
-        model = cupc_bath_model(
-            cfg.spin_spec(b_tesla, theta),
-            tau_e,
-            geometry,
-            isotopes=cfg.isotopes(),
-            eta_floor=cfg.hyperfine.eta_floor,
-            gamma_e=cfg.constants.gamma_e,
-        )
+        model = cfg.bath_model(b_tesla, tau_e, theta)
         omega = TWO_PI * 1e9 * np.linspace(a.omega_min_ghz, a.omega_max_ghz, a.points)
         s = spectral_density(model, omega)
         run.write_csv(
@@ -245,7 +230,6 @@ def cmd_spectrum(run: _Run) -> int:
 
 
 def cmd_t1(run: _Run) -> int:
-    from .bathspectrum import cupc_bath_model
     from .constants import gauss_to_tesla
     from .io import load_measurements
     from .relaxometry import delta_gamma, relaxation_rate
@@ -266,18 +250,10 @@ def cmd_t1(run: _Run) -> int:
 
     tau_e = cfg.bath.tau_e_ns * 1e-9
     theta = math.radians(cfg.hyperfine.theta_e_deg)
-    geometry = cfg.film_geometry()
     nv = cfg.nv_config()
     model_rate: dict[float, float] = {}
     for b in sorted({r.b_gauss for r in records}):
-        model = cupc_bath_model(
-            cfg.spin_spec(gauss_to_tesla(b), theta),
-            tau_e,
-            geometry,
-            isotopes=cfg.isotopes(),
-            eta_floor=cfg.hyperfine.eta_floor,
-            gamma_e=cfg.constants.gamma_e,
-        )
+        model = cfg.bath_model(gauss_to_tesla(b), tau_e, theta)
         model_rate[b] = relaxation_rate(model, nv, gauss_to_tesla(b))
 
     rows = []
@@ -300,8 +276,7 @@ def _forward_model(cfg, fields):
         nv=cfg.nv_config(),
         theta_step=math.radians(cfg.fit.theta_step_deg),
         bin_width=2.0 * math.pi * cfg.fit.bin_mhz * 1e6,
-        isotopes=cfg.isotopes(),
-        eta_floor=cfg.hyperfine.eta_floor,
+        **cfg.spectrum_args(),
     )
 
 
@@ -414,9 +389,7 @@ def cmd_tau_ee(run: _Run) -> int:
     orderings = []
     for b in cfg.bath.fields_gauss:
         spectrum = isotope_family_spectrum(
-            cfg.spin_spec(gauss_to_tesla(b), theta),
-            isotopes=cfg.isotopes(),
-            eta_floor=cfg.hyperfine.eta_floor,
+            cfg.spin_spec(gauss_to_tesla(b), theta), **cfg.spectrum_args()
         )
         report = solve_tau_self_consistent(
             lattice, spectrum, initial_tau=initial, gamma_e=gamma_e

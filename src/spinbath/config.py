@@ -50,12 +50,18 @@ def _num(lo=None, hi=None):
     return parse
 
 
-def _int(lo):
-    """An integer >= lo."""
+def _int(lo, hi=None):
+    """An integer >= lo (and <= hi if given)."""
+    want = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
 
     def parse(raw, path):
-        if isinstance(raw, bool) or not isinstance(raw, int) or raw < lo:
-            raise ConfigError(f"{path}: expected an integer >= {lo}, got {raw!r}")
+        if (
+            isinstance(raw, bool)
+            or not isinstance(raw, int)
+            or raw < lo
+            or (hi is not None and raw > hi)
+        ):
+            raise ConfigError(f"{path}: expected {want}, got {raw!r}")
         return raw
 
     return parse
@@ -157,7 +163,9 @@ class IsotopeEntry:
 class HyperfineBlock:
     cu_tensor_mhz: tuple[float, float, float] = _key(_XYZ, (-83.0, -83.0, -648.0))
     n_tensor_mhz: tuple[float, float, float] = _key(_XYZ, (57.0, 45.0, 45.0))
-    n_nitrogens: int = _key(_int(0), 4)
+    # CuPc has four nitrogen ligands; the spin model's (I_a, I_b) blocks hold
+    # for at most two equivalent nitrogens per tensor class
+    n_nitrogens: int = _key(_int(0, 4), 4)
     isotopes: tuple[IsotopeEntry, ...] = _key(
         _list(_block(IsotopeEntry)),
         (IsotopeEntry("63Cu", 0.6915, 1.0), IsotopeEntry("65Cu", 0.3085, 1.07)),
@@ -312,6 +320,27 @@ class ToolkitConfig:
 
         return tuple(
             Isotope(e.label, e.abundance, e.scale, 1.5) for e in self.hyperfine.isotopes
+        )
+
+    def spectrum_args(self) -> dict:
+        """The keywords every line-list builder takes from the config.
+
+        `isotope_family_spectrum`, `cupc_bath_model` and `ForwardModel`
+        default to the built-in isotope table and eta floor; a caller that
+        passes these instead cannot drift from the config.
+        """
+        return {"isotopes": self.isotopes(), "eta_floor": self.hyperfine.eta_floor}
+
+    def bath_model(self, b_field: float, tau_e: float, theta_e: float | None = None):
+        """`cupc_bath_model` at one field (T), wholly from the config."""
+        from .bathspectrum import cupc_bath_model
+
+        return cupc_bath_model(
+            self.spin_spec(b_field, theta_e),
+            tau_e,
+            self.film_geometry(),
+            **self.spectrum_args(),
+            gamma_e=self.constants.gamma_e,
         )
 
     def film_geometry(self):

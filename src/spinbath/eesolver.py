@@ -205,6 +205,7 @@ def pair_spectral_density(
     tau_e: float,
     spectrum: TransitionSpectrum,
     omega: float,
+    gamma_e: float = GAMMA_E,
 ) -> float:
     """S_{n,m}(omega) of one neighbour pair, in tesla^2 s.
 
@@ -223,7 +224,7 @@ def pair_spectral_density(
     ff_sum = float(
         (_lorentzian(lines - omega, tau_e) + _lorentzian(lines + omega, tau_e)) @ weight
     )
-    return float(dipolar_prefactor(r) * (qs + flip_flop_factor(theta) * ff_sum))
+    return float(dipolar_prefactor(r, gamma_e) * (qs + flip_flop_factor(theta) * ff_sum))
 
 
 class _OverlapIntegrator:

@@ -7,6 +7,15 @@ Hamiltonian yields the transition frequencies omega_ij = omega_i - omega_j
 and weights eta_ij = |<psi_i|S_perp|psi_j>|^2 / M that parameterize the
 bath autocorrelation.
 
+The nitrogens come in two equivalent pairs, (0, 2) with tensor T and
+(1, 3) with the in-plane-swapped T'.  H has no N-N coupling and no nuclear
+Zeeman term, so it depends on each pair only through the pair's total spin
+I_a, I_b in {0, 1, 2}, and both I_a^2 and I_b^2 commute with H.  Since
+1 (x) 1 = 0 (+) 1 (+) 2 with every total spin once, H splits exactly into
+nine (I_a, I_b) blocks of 8 (2 I_a + 1)(2 I_b + 1) states (200, 2 x 120,
+72, 2 x 40, 2 x 24 and 8), and `transition_spectrum` diagonalizes those
+instead of the 648 x 648 matrix.
+
 Conventions
 -----------
 * The lab frame has z along the applied field (the NV axis); the molecular
@@ -22,6 +31,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,8 +117,10 @@ class SpinSystemSpec:
             raise ValueError("b_field must be >= 0")
         if not 0.0 <= self.theta_e <= np.pi / 2 + 1e-12:
             raise ValueError("theta_e must lie in [0, pi/2]")
-        if self.n_nitrogens < 0:
-            raise ValueError("n_nitrogens must be >= 0")
+        # a class of three equivalent nitrogens would carry total-spin
+        # multiplicities that the (I_a, I_b) blocks do not weight
+        if not 0 <= self.n_nitrogens <= 4:
+            raise ValueError("n_nitrogens must lie in [0, 4]")
         for s in (self.isotope.spin, self.n_spin):
             if s < 0 or abs(2 * s - round(2 * s)) > 1e-9:
                 raise ValueError(f"invalid spin quantum number {s}")
@@ -220,35 +232,81 @@ def _lab_hyperfine_tensors(spec: SpinSystemSpec) -> list[tuple[float, np.ndarray
     return out
 
 
-def build_hamiltonian(spec: SpinSystemSpec, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Dense real symmetric Hamiltonian in rad/s: electron Zeeman plus S.A.I.
+def _assemble_hamiltonian(
+    spec: SpinSystemSpec, sites: list[tuple[float, np.ndarray]]
+) -> np.ndarray:
+    """Real symmetric H of the electron coupled to `sites`, (spin, lab tensor) pairs.
 
     H = sum_mu S_mu (x) B_mu.  The lab tensors have no xy/yz entries and the
     Zeeman row no y entry, so B_y = sum a_yy I_y = i C_y with the real C_y =
     sum a_yy Im(I_y); with S = sigma/2 the electron (up, down) blocks are
     H = 1/2 [[B_z, B_x + C_y], [B_x - C_y, -B_z]], real for every spec.
     """
+    n = int(np.prod([int(round(2 * s + 1)) for s, _ in sites]))
+    zeeman_row = (MU_B * spec.b_field / HBAR) * _g_tensor_lab(spec)[2, :]
+    b = np.zeros((3, n, n))  # B_x, C_y, B_z
+    b[0], b[2] = zeeman_row[0] * np.eye(n), zeeman_row[2] * np.eye(n)
+    after = n  # dimension of the nuclei after the current site
+    for s_nuc, a in sites:
+        ix, iy, iz = spin_operators(s_nuc)
+        ix, iy, iz = ix.real, iy.imag, iz.real
+        d = ix.shape[0]
+        after //= d
+        local = np.stack([a[0, 0] * ix + a[0, 2] * iz, a[1, 1] * iy, a[2, 0] * ix + a[2, 2] * iz])
+        # 1 (x) local (x) 1 for all three terms at once: entry [k, (i,p,x), (j,q,y)]
+        # = delta_ij local[k,p,q] delta_xy, the index order of np.kron
+        eye_l, eye_r = np.eye(n // (after * d)), np.eye(after)
+        b += (
+            eye_l[None, :, None, None, :, None, None]
+            * local[:, None, :, None, None, :, None]
+            * eye_r[None, None, None, :, None, None, :]
+        ).reshape(3, n, n)
+    b_x, c_y, b_z = b
+    return 0.5 * np.block([[b_z, b_x + c_y], [b_x - c_y, -b_z]])
+
+
+def _check_dimension(spec: SpinSystemSpec, dim_cap: int) -> int:
     dim = spec.hilbert_dimension()
     if dim > dim_cap:
         raise DimensionError(
             f"Hilbert dimension {dim} exceeds cap {dim_cap}; "
             "check nuclear spin counts"
         )
+    return dim
 
-    n = dim // 2
-    zeeman_row = (MU_B * spec.b_field / HBAR) * _g_tensor_lab(spec)[2, :]
-    b_x, b_z = zeeman_row[0] * np.eye(n), zeeman_row[2] * np.eye(n)
-    c_y = np.zeros((n, n))
-    after = n  # dimension of the nuclei after the current site
-    for s_nuc, a in _lab_hyperfine_tensors(spec):
-        ix, iy, iz = spin_operators(s_nuc)
-        after //= ix.shape[0]
-        eye_l, eye_r = np.eye(n // (after * ix.shape[0])), np.eye(after)
-        ix, iy, iz = (np.kron(np.kron(eye_l, o), eye_r) for o in (ix.real, iy.imag, iz.real))
-        b_x += a[0, 0] * ix + a[0, 2] * iz
-        c_y += a[1, 1] * iy
-        b_z += a[2, 0] * ix + a[2, 2] * iz
-    return 0.5 * np.block([[b_z, b_x + c_y], [b_x - c_y, -b_z]])
+
+def build_hamiltonian(spec: SpinSystemSpec, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+    """Dense real symmetric Hamiltonian in rad/s: electron Zeeman plus S.A.I.
+
+    The full product space of Cu and every nitrogen, in the site order of
+    `_lab_hyperfine_tensors`; `transition_spectrum` diagonalizes the same H
+    block by block instead (see `_block_site_lists`).
+    """
+    _check_dimension(spec, dim_cap)
+    return _assemble_hamiltonian(spec, _lab_hyperfine_tensors(spec))
+
+
+def _block_site_lists(spec: SpinSystemSpec) -> list[list[tuple[float, np.ndarray]]]:
+    """One site list per (I_a, I_b) block of H: Cu, then one pseudo-site per class.
+
+    The nitrogens fall into two classes by the tensor they are given: even
+    indices carry T, odd ones the in-plane-swapped T'.  H has no N-N term and
+    no nuclear Zeeman term, so it sees a class only through its total spin
+    I = sum of its members' spins, and I^2 of each class is conserved.  Two
+    spins s couple to I = 0, 1, ..., 2s, each exactly once, so each block is
+    the Hamiltonian of Cu plus one spin-I nucleus per class with the class
+    tensor.  A class of three or more would carry multiplicities, which is
+    why `SpinSystemSpec` admits at most four nitrogens.
+    """
+    cu, *nitrogens = _lab_hyperfine_tensors(spec)
+    choices = []
+    for members in (nitrogens[0::2], nitrogens[1::2]):
+        if not members:
+            continue
+        s, a = members[0]
+        totals = np.arange(2 * s + 1) if len(members) == 2 else [s]
+        choices.append([(float(i), a) for i in totals])
+    return [[cu, *combo] for combo in itertools.product(*choices)]
 
 
 def transition_spectrum(
@@ -258,35 +316,49 @@ def transition_spectrum(
 ) -> IsotopeSpectrum:
     """Diagonalize the spin Hamiltonian and list (omega_ij, eta_ij) pairs.
 
+    H is block-diagonal in the total spins I_a, I_b of the two equivalent
+    nitrogen pairs (`_block_site_lists`): at most nine blocks, of 8(2I_a+1)
+    (2I_b+1) states for the CuPc spec, each diagonalized on its own.  The
+    split is exact, since H has no N-N and no nuclear Zeeman term and the
+    members of a pair share one lab tensor.  S_x acts on the electron only,
+    so it does not couple blocks and every cross-block pair has eta = 0; only
+    pairs inside a block are listed.  Weights are normalized by M = half the
+    full dimension, so the trace identity sum eta = 1/2 holds over all blocks.
+
     Ordered pairs i != j are returned sorted by omega; diagonal pairs and
     transitions between degenerate states go to the static bin, and pairs
     with eta below `eta_floor` are pruned (their weight is tallied so the
     trace identity can still be audited).
     """
-    h = build_hamiltonian(spec, dim_cap=dim_cap)
-    try:
-        evals, evecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise SpectrumError(f"eigensolver failed: {exc}") from exc
+    m_states = _check_dimension(spec, dim_cap) // 2
+    omegas, etas = [], []
+    eta_sum_all = eta_static = eta_pruned = 0.0
+    for sites in _block_site_lists(spec):
+        h = _assemble_hamiltonian(spec, sites)
+        try:
+            evals, evecs = np.linalg.eigh(h)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
+            raise SpectrumError(f"eigensolver failed: {exc}") from exc
 
-    dim = h.shape[0]
-    m_states = dim // 2
-    # S_x = 1/2 [[0, 1], [1, 0]] on the electron blocks, so with the
-    # eigenvectors split into their up/down halves, <i|S_x|j> = (A + A^T)/2
-    a = evecs[:m_states].T @ evecs[m_states:]
-    eta_mat = (0.5 * (a + a.T)) ** 2 / m_states
-    eta_sum_all = float(eta_mat.sum())
+        dim = h.shape[0]
+        # S_x = 1/2 [[0, 1], [1, 0]] on the electron blocks, so with the
+        # eigenvectors split into their up/down halves, <i|S_x|j> = (A + A^T)/2
+        a = evecs[: dim // 2].T @ evecs[dim // 2 :]
+        eta_mat = (0.5 * (a + a.T)) ** 2 / m_states
+        eta_sum_all += float(eta_mat.sum())
 
-    omega_mat = evals[:, None] - evals[None, :]
-    off = ~np.eye(dim, dtype=bool)
-    oscillating = off & (np.abs(omega_mat) >= DEGENERACY_FLOOR)
-    eta_static = float(eta_mat[~oscillating].sum())
+        omega_mat = evals[:, None] - evals[None, :]
+        off = ~np.eye(dim, dtype=bool)
+        oscillating = off & (np.abs(omega_mat) >= DEGENERACY_FLOOR)
+        eta_static += float(eta_mat[~oscillating].sum())
 
-    keep = oscillating & (eta_mat >= eta_floor)
-    eta_pruned = float(eta_mat[oscillating & ~keep].sum())
+        keep = oscillating & (eta_mat >= eta_floor)
+        eta_pruned += float(eta_mat[oscillating & ~keep].sum())
+        omegas.append(omega_mat[keep])
+        etas.append(eta_mat[keep])
 
-    omega = omega_mat[keep]
-    eta = eta_mat[keep]
+    omega = np.concatenate(omegas)
+    eta = np.concatenate(etas)
     order = np.argsort(omega)
     return IsotopeSpectrum(
         isotope=spec.isotope,

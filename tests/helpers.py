@@ -292,6 +292,45 @@ def two_product_spectrum(spec, eta_floor=1e-12):
     )
 
 
+def one_isotope_family(comp):
+    """`comp` as a TransitionSpectrum of abundance 1, so it can be `binned()`."""
+    from dataclasses import replace
+
+    from spinbath.spinmodel import TransitionSpectrum
+
+    isotope = replace(comp.isotope, abundance=1.0)
+    return TransitionSpectrum(components=(replace(comp, isotope=isotope),))
+
+
+def oracle_family(spec, eta_floor=1e-12):
+    """`two_product_spectrum` as a `one_isotope_family`, and its three audits.
+
+    Returns (family, eta_sum_all, eta_static, eta_pruned).
+    """
+    from spinbath.spinmodel import IsotopeSpectrum
+
+    omega, eta, sum_all, static, pruned = two_product_spectrum(spec, eta_floor)
+    comp = IsotopeSpectrum(
+        isotope=spec.isotope,
+        omega=omega,
+        eta=eta,
+        m_states=spec.hilbert_dimension() // 2,
+        eta_sum_all=sum_all,
+        eta_static=static,
+        eta_pruned=pruned,
+    )
+    return one_isotope_family(comp), sum_all, static, pruned
+
+
+def line_sum(omega_lines, eta, omega, tau):
+    """sum_l eta_l tau / ((omega - omega_l)^2 tau^2 + 1) on the grid `omega`."""
+    out = np.empty(omega.size)
+    for lo in range(0, omega.size, 32):
+        x = (omega[lo : lo + 32, None] - omega_lines) * tau
+        out[lo : lo + 32] = (tau / (x * x + 1.0)) @ eta
+    return out
+
+
 # ---------------------------------------------------------------------------
 # per-point loop oracles for the estimator's vectorized paths
 # ---------------------------------------------------------------------------

@@ -299,6 +299,7 @@ def test_fit_nonpositive_box_edge_is_config_error(
             "spectrum", "geometry", "n_e_interval_per_nm3", [0.0, 1.889],
             "geometry.n_e_interval_per_nm3",
         ),
+        ("spectrum", "hyperfine", "n_nitrogens", 5, "hyperfine.n_nitrogens"),
     ],
 )
 def test_bad_config_key_is_one_line_config_error(

@@ -179,6 +179,13 @@ class TestPairSpectralDensity:
         got = pair_spectral_density((r, theta), tau, ELECTRON_SPEC, omega)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
+    def test_prefactor_follows_gamma_e(self):
+        """S_pair carries the dipolar prefactor, which scales as gamma_e^2."""
+        pair, tau, omega = (1.4e-9, 0.6), 2e-9, 0.55 * OMEGA0
+        ref = pair_spectral_density(pair, tau, ELECTRON_SPEC, omega)
+        got = pair_spectral_density(pair, tau, ELECTRON_SPEC, omega, gamma_e=1.1 * GAMMA_E)
+        np.testing.assert_allclose(got / ref, 1.1**2, rtol=1e-12)
+
     def test_self_consistent_rate_equals_weighted_probe_sum(self):
         """gamma^2 sum_b w_b S_pair(omega_b) reproduces the solver's rate.
 

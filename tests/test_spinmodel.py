@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from spinbath.spinmodel import (
     N_TENSOR,
     HyperfineTensor,
     SpinSystemSpec,
+    _assemble_hamiltonian,
+    _block_site_lists,
+    _lab_hyperfine_tensors,
     build_hamiltonian,
     isotope_family_spectrum,
     rotate_tensor,
@@ -19,7 +23,7 @@ from spinbath.spinmodel import (
     transition_spectrum,
 )
 
-from helpers import complex_kron_hamiltonian, two_product_spectrum
+from helpers import complex_kron_hamiltonian, line_sum, one_isotope_family, oracle_family
 
 
 def default_spec(b_gauss=461.0, theta_deg=43.05, **kw):
@@ -103,9 +107,63 @@ ORACLE_SPECS = [
 ]
 
 
+def assert_matches_dense_oracle(spec):
+    """transition_spectrum against the dense complex-kron `two_product_spectrum`.
+
+    With at most two nitrogens H is a single block, so the lists are the
+    dense ones bit for bit.  Beyond that the blocks reorder the floating-point
+    work, and the comparison depends on the point:
+    * generic: the same bins, weights to 3e-15 (measured <= 1.6e-15) and
+      centres to 1e-12 max|omega| (measured <= 8e-14 max|omega|);
+    * exactly degenerate (B = 0 or theta_e = 0): the dense eigh mixes states
+      across blocks and spreads eta over more pairs (at B = 0, theta_e = 0,
+      40 952 lines against 22 844), so the floor prunes a different ~1e-9 of
+      weight.  There S(omega) over the line range agrees to 1e-8 of its
+      maximum at tau_e = 0.1 ... 100 ns (measured <= 3.9e-9), and eta_pruned
+      to 5e-9 (measured <= 9.5e-10).
+    Sum eta and the static weight do not depend on the basis chosen inside a
+    degenerate subspace; they agree to 1e-15 everywhere.
+    """
+    comp = transition_spectrum(spec)
+    oracle, sum_all, static, pruned = oracle_family(spec)
+    ref = oracle.components[0]
+    if spec.n_nitrogens <= 2:
+        np.testing.assert_array_equal(comp.omega, ref.omega)
+        np.testing.assert_allclose(comp.eta, ref.eta, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            [comp.eta_sum_all, comp.eta_static, comp.eta_pruned],
+            [sum_all, static, pruned],
+            rtol=0,
+            atol=1e-15,
+        )
+        return
+
+    np.testing.assert_allclose(
+        [comp.eta_sum_all, comp.eta_static], [sum_all, static], rtol=0, atol=1e-15
+    )
+    if spec.b_field == 0.0 or spec.theta_e == 0.0:
+        assert abs(comp.eta_pruned - pruned) <= 5e-9
+        lo = min(comp.omega[0], ref.omega[0])
+        hi = max(comp.omega[-1], ref.omega[-1])
+        grid = np.linspace(lo, hi, 801)
+        for tau in (1e-10, 1e-9, 1e-8, 1e-7):
+            s = line_sum(comp.omega, comp.eta, grid, tau)
+            s_ref = line_sum(ref.omega, ref.eta, grid, tau)
+            assert np.abs(s - s_ref).max() <= 1e-8 * s_ref.max()
+    else:
+        assert abs(comp.eta_pruned - pruned) <= 1e-15
+        centres, weights = one_isotope_family(comp).binned()
+        ref_centres, ref_weights = oracle.binned()
+        assert centres.size == ref_centres.size
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=3e-15)
+        np.testing.assert_allclose(
+            centres, ref_centres, rtol=0, atol=1e-12 * np.abs(ref.omega).max()
+        )
+
+
 @pytest.mark.parametrize("iso, n_nitrogens, theta, b", ORACLE_SPECS)
 def test_real_path_matches_complex_kron_oracle(iso, n_nitrogens, theta, b):
-    """The real block H and its one-product S_x match the complex-kron path."""
+    """The real H matches the complex-kron H; its spectrum, the dense oracle's."""
     spec = SpinSystemSpec(
         b_field=b,
         theta_e=theta,
@@ -118,17 +176,60 @@ def test_real_path_matches_complex_kron_oracle(iso, n_nitrogens, theta, b):
     h_ref = complex_kron_hamiltonian(spec)
     assert h.dtype == np.float64
     assert np.abs(h - h_ref).max() <= 1e-14 * np.abs(h_ref).max()
+    assert_matches_dense_oracle(spec)
 
-    comp = transition_spectrum(spec)
-    omega, eta, sum_all, static, pruned = two_product_spectrum(spec)
-    np.testing.assert_array_equal(comp.omega, omega)
-    np.testing.assert_allclose(comp.eta, eta, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(
-        [comp.eta_sum_all, comp.eta_static, comp.eta_pruned],
-        [sum_all, static, pruned],
-        rtol=0,
-        atol=1e-15,
-    )
+
+FIELDS_GAUSS = (231.0, 372.0, 461.0, 721.0)
+
+
+@pytest.mark.parametrize(
+    "b_gauss, theta_deg, n_nitrogens",
+    # generic points: the shipped fields x three orientations, and three
+    # nitrogens, where the pairs differ (two with T, one with T')
+    [(b, th, 4) for b in FIELDS_GAUSS for th in (math.degrees(0.3), 43.0, 90.0)]
+    + [(461.0, 43.0, 3), (231.0, 70.0, 3)]
+    # exactly degenerate: theta-node 0 of every cache, and zero field
+    + [(b, 0.0, 4) for b in (0.0, *FIELDS_GAUSS)],
+)
+def test_blocks_match_dense_oracle(b_gauss, theta_deg, n_nitrogens):
+    assert_matches_dense_oracle(default_spec(b_gauss, theta_deg, n_nitrogens=n_nitrogens))
+
+
+def _pair_casimir(spec, members):
+    """(I_k + I_l + ...)^2 for the listed nitrogens, on the full product space."""
+    dims = [2] + [int(round(2 * s + 1)) for s, _ in _lab_hyperfine_tensors(spec)]
+    casimir = 0.0
+    for op in spin_operators(spec.n_spin):
+        total = 0.0
+        for k in members:
+            factors = [op if site == 2 + k else np.eye(d) for site, d in enumerate(dims)]
+            total = total + reduce(np.kron, factors)
+        casimir = casimir + total @ total
+    return casimir
+
+
+def test_block_structure_premise():
+    """[H, I_a^2] = [H, I_b^2] = 0, and the blocks hold the dense spectrum."""
+    spec = default_spec()
+    h = build_hamiltonian(spec)
+    scale = np.abs(h).max()
+    for members in ((0, 2), (1, 3)):
+        c = _pair_casimir(spec, members)
+        assert np.abs(h @ c - c @ h).max() <= 1e-14 * scale
+
+    blocks = [_assemble_hamiltonian(spec, sites) for sites in _block_site_lists(spec)]
+    assert sorted(b.shape[0] for b in blocks) == [8, 24, 24, 40, 40, 72, 120, 120, 200]
+    evals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+    dense = np.linalg.eigvalsh(h)
+    assert np.abs(evals - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_nitrogen_count_capped_at_four():
+    """A class of three equivalent nitrogens would carry multiplicities."""
+    with pytest.raises(ValueError, match="n_nitrogens"):
+        default_spec(n_nitrogens=5)
+    with pytest.raises(ValueError, match="n_nitrogens"):
+        default_spec(n_nitrogens=-1)
 
 
 class TestTransitionSpectrum:
