@@ -1,7 +1,11 @@
 """NV relaxometry toolkit for electron-spin bath films.
 
 Submodules are imported lazily so the CLI can apply SPINBATH_THREADS
-before any BLAS-backed import happens.
+before any BLAS-backed import happens.  SciPy is imported lazily too: only
+the functions that call it import it (`scipy.optimize` in `estimator`, and
+inside `fit_decay` and `fit_spin_lattice`), so `spectrum`, `t1` and `tau-ee`
+load no SciPy module at all.  Keep new SciPy imports out of module level
+in `spinmodel`, `bathspectrum`, `relaxometry`, `eesolver`, `config` and `io`.
 """
 
 __version__ = "0.1.0"

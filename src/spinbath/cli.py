@@ -576,18 +576,46 @@ def cmd_decay_fit(run: _Run) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose errors are one line on stderr and exit 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _number(kind=float, lo: float = 0.0, hi: float = math.inf, above: bool = False):
+    """argparse type: a finite `kind` in [lo, hi], or in (lo, hi] if `above`."""
+    if hi < math.inf:
+        want = f"in [{lo:g}, {hi:g}]"
+    else:
+        want = f"{'>' if above else '>='} {lo:g}"
+    want = f"{'an integer' if kind is int else 'a finite number'} {want}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > lo if above else value >= lo)
+                and value <= hi):
+            raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _sweep_spec(text: str) -> tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected LO,HI,N")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, n = _number()(parts[0]), _number()(parts[1]), int(parts[2])
     if n < 2 or hi <= lo:
         raise argparse.ArgumentTypeError("expected LO < HI and N >= 2")
     return lo, hi, n
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinbath",
         description="NV relaxometry toolkit for electron-spin bath films",
     )
@@ -600,12 +628,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="bath spectral density S_e(omega)")
     common(p)
-    p.add_argument("--field", type=float, default=461.0, help="bias field in gauss")
-    p.add_argument("--theta-e-deg", type=float, default=None)
-    p.add_argument("--tau-e-ns", type=float, default=None)
-    p.add_argument("--omega-min-ghz", type=float, default=0.1)
-    p.add_argument("--omega-max-ghz", type=float, default=6.0)
-    p.add_argument("--points", type=int, default=1200)
+    p.add_argument("--field", type=_number(), default=461.0, help="bias field in gauss")
+    p.add_argument("--theta-e-deg", type=_number(hi=90.0), default=None)
+    p.add_argument("--tau-e-ns", type=_number(above=True), default=None)
+    p.add_argument("--omega-min-ghz", type=_number(), default=0.1)
+    p.add_argument("--omega-max-ghz", type=_number(), default=6.0)
+    p.add_argument("--points", type=_number(int, lo=1), default=1200)
     p.add_argument(
         "--sweep",
         type=_sweep_spec,
@@ -626,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tau-ee", help="self-consistent electron-electron tau_e")
     common(p)
-    p.add_argument("--initial-tau-ns", type=float, default=2.0)
+    p.add_argument("--initial-tau-ns", type=_number(above=True), default=2.0)
 
     p = sub.add_parser("depth", help="per-NV depth from detuned-field records")
     common(p)
@@ -653,7 +681,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     _apply_thread_cap()
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "spectrum" and not args.omega_min_ghz < args.omega_max_ghz:
+        parser.error("expected --omega-min-ghz < --omega-max-ghz")
 
     from .errors import (
         ConfigError,

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .bathspectrum import BathSpectrumModel, spectral_density
 from .constants import D_ZFS, GAMMA_E, HBAR, K_B
@@ -176,6 +175,10 @@ def fit_decay(curve: DecayCurve) -> DecayFitResult:
     Raises UnidentifiableError when the curve is constant within noise (A
     unidentifiable) and ConvergenceError when no start converges.
     """
+    # imported here, not at module level: spectrum, t1 and tau-ee load this
+    # module and never fit, and SciPy would be most of their start-up time
+    from scipy.optimize import least_squares
+
     if len(curve) < 6:
         raise ValueError("need at least 6 samples to fit 4 parameters")
     t, y, sig = curve.t, curve.y, curve.sigma
@@ -283,6 +286,8 @@ def fit_spin_lattice(
     floor: bool = True,
 ) -> SpinLatticeParams:
     """Recover SpinLatticeParams from measured R(T) by multi-start fitting."""
+    from scipy.optimize import least_squares
+
     t = np.asarray(temperature, dtype=float)
     r = np.asarray(rates, dtype=float)
     s = np.ones_like(r) if sigma is None else np.asarray(sigma, dtype=float)

@@ -1,13 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
-from conftest import CONFIG_PATH
+from conftest import CONFIG_PATH, REPO_ROOT
 from helpers import records_to_csv, synth_records
 from spinbath.cli import (
+    EXIT_AMBIGUOUS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
@@ -344,3 +347,105 @@ def test_decay_fit_flat_curve_unidentifiable(tmp_path):
         "decay-fit", "--config", CONFIG_PATH, "--out", tmp_path, "--data", data
     )
     assert code == EXIT_UNIDENTIFIABLE
+
+
+@pytest.fixture()
+def no_config_load(monkeypatch):
+    """Fail the test if the command gets as far as reading its config."""
+    import spinbath.config
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("config loaded before the flags were checked")
+
+    monkeypatch.setattr(spinbath.config, "load_config", refuse)
+
+
+@pytest.mark.parametrize(
+    "command, flag, bad_values",
+    [
+        ("spectrum", "--field", [["-5"], ["nan"], ["inf"]]),
+        ("spectrum", "--theta-e-deg", [["nan"], ["-1"], ["90.5"]]),
+        ("spectrum", "--tau-e-ns", [["0"], ["-1"], ["inf"], ["nan"]]),
+        ("spectrum", "--points", [["-3"], ["0"], ["2.5"]]),
+        (
+            "spectrum", "--omega",
+            [
+                ["--omega-min-ghz", "-1"],
+                ["--omega-max-ghz", "inf"],
+                ["--omega-min-ghz", "3", "--omega-max-ghz", "2"],
+                ["--omega-min-ghz", "2", "--omega-max-ghz", "2"],
+            ],
+        ),
+        ("spectrum", "--sweep", [["nan,800,3"], ["200,nan,3"], ["200,inf,3"]]),
+        ("tau-ee", "--initial-tau-ns", [["0"], ["-1"], ["nan"]]),
+    ],
+    ids=["field", "theta-e-deg", "tau-e-ns", "points", "omega", "sweep", "initial-tau-ns"],
+)
+def test_bad_cli_number_exits_2_with_one_line(
+    command, flag, bad_values, tmp_path, no_config_load, capsys
+):
+    for bad in bad_values:
+        argv = bad if bad[0].startswith("--") else [f"{flag}={bad[0]}"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--config", CONFIG_PATH, "--out", tmp_path, *argv)
+        assert exc.value.code == EXIT_CONFIG, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err, (argv, err)
+
+
+_IMPORT_PROBE = """
+import json, sys
+from spinbath.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def _scipy_modules_after(*argv) -> tuple[int, list[str]]:
+    """Exit code and loaded scipy* modules of one command in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    return code, modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--points", "50"],
+        ["spectrum", "--sweep", "200,800,3"],
+        ["t1", "--data", "TABLE"],
+        ["tau-ee"],
+    ],
+    ids=["spectrum", "spectrum-sweep", "t1", "tau-ee"],
+)
+def test_prediction_commands_load_no_scipy(argv, tmp_path, small_model, geometry):
+    data = _two_field_table(tmp_path, small_model, geometry)
+    argv = [str(data) if a == "TABLE" else a for a in argv]
+    code, modules = _scipy_modules_after(
+        *argv, "--config", CONFIG_PATH, "--out", tmp_path / "out"
+    )
+    assert code == EXIT_OK
+    assert modules == []
+
+
+def test_fit_loads_no_scipy_ndimage(tmp_path, small_model, geometry):
+    tree = yaml.safe_load(CONFIG_PATH.read_text())
+    tree["fit"]["theta_step_deg"] = 45.0
+    config = tmp_path / "coarse.yaml"
+    config.write_text(yaml.safe_dump(tree))
+    data = _two_field_table(tmp_path, small_model, geometry)
+    code, modules = _scipy_modules_after(
+        "fit", "--config", config, "--out", tmp_path / "out", "--data", data,
+        "--grid", "8",
+    )
+    assert code in (EXIT_OK, EXIT_AMBIGUOUS)
+    assert "scipy.optimize" in modules
+    assert not [m for m in modules if m.startswith("scipy.ndimage")]

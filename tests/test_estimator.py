@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from helpers import (
     synth_records,
 )
 from spinbath.bathspectrum import (
+    BathSpectrumModel,
     coupling_b0_sq,
     cupc_bath_model,
+    spectral_density,
 )
 from spinbath.constants import GAUSS_TO_TESLA
 from spinbath.errors import UnidentifiableError
@@ -108,6 +111,35 @@ class TestForwardModelCache:
             assert min(lo, hi) <= val <= max(lo, hi)
             assert val == pytest.approx(0.5 * (lo + hi), rel=1e-9)
 
+    #: Worst |cached / exact − 1| of the rate over every mid-node from 5° to
+    #: 85° at the four shipped fields, on 2° nodes (the `ForwardModel`
+    #: docstring table); the test allows 1.5× these measured values.
+    MID_NODE_ERROR_2DEG = {1e-9: 1.33e-2, 3e-9: 1.32e-2, 10e-9: 0.153, 100e-9: 5.33}
+
+    def test_mid_node_error_bound(self, forward_model_4f):
+        """Linear θ interpolation against the exact binned pipeline off a node."""
+        model = forward_model_4f
+        taus = np.array(sorted(self.MID_NODE_ERROR_2DEG))
+        nodes = model.theta_nodes
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        mids = mids[(mids >= math.radians(5.0)) & (mids <= math.radians(85.0))]
+        cached = model.unit_rates(taus[:, None], mids)  # (τ, θ, field)
+        worst = np.zeros(taus.size)
+        for k, theta in enumerate(mids):
+            for i, gauss in enumerate(model.fields_gauss):
+                b = gauss * GAUSS_TO_TESLA
+                spectrum = isotope_family_spectrum(
+                    replace(model.base_spec, b_field=b, theta_e=float(theta))
+                )
+                w_nv = nv_frequency(model.nv, b)
+                exact = model.nv.gamma_e**2 * np.array(
+                    [spectral_density(BathSpectrumModel(spectrum, t, 1.0), w_nv)
+                     for t in taus]
+                )
+                worst = np.maximum(worst, np.abs(cached[:, k, i] / exact - 1.0))
+        for tau, err in zip(taus, worst):
+            assert err <= 1.5 * self.MID_NODE_ERROR_2DEG[tau], (tau, err)
+
     def test_b0_multiplier_is_exact(self, small_model):
         a = small_model.delta_gammas(2e-9, 0.7, 1e-9)
         b = small_model.delta_gammas(2e-9, 0.7, 3e-9)
@@ -152,6 +184,32 @@ class TestFit:
         )
         with pytest.raises(UnidentifiableError):
             fit(problem)
+
+    def test_nan_in_landscape_is_unidentifiable(
+        self, small_model, shipped_config, geometry, monkeypatch
+    ):
+        """A NaN anywhere on the grid stops the fit before the minima search."""
+        rng = np.random.default_rng(3)
+        records = synth_records(small_model, geometry, 2.0e-9, 0.75, rng, noise=0.01)
+        fixed = degenerate_fixed(shipped_config, geometry)
+        fixed.pop("tau_e")
+        fixed.pop("theta_e")
+        problem = make_problem(records, small_model, geometry, ("tau_e", "theta_e"), fixed)
+        exact = estimator._model_prediction
+
+        def one_nan(problem, params, field_idx):
+            out = exact(problem, params, field_idx)
+            if out.ndim == 3:  # the landscape, not a Nelder–Mead point
+                out[3, 5, 0] = np.nan
+            return out
+
+        def refuse(obj):
+            raise AssertionError("minima search ran on a landscape holding NaN")
+
+        monkeypatch.setattr(estimator, "_model_prediction", one_nan)
+        monkeypatch.setattr(estimator, "_grid_local_minima", refuse)
+        with pytest.raises(UnidentifiableError, match="flat"):
+            fit(problem, grid_points=16)
 
     def test_boundary_minimum_flag(self, small_model, shipped_config, geometry):
         """Truth outside the search box pins the minimum to the box edge."""
@@ -372,3 +430,22 @@ class TestVectorizedAgainstLoops:
         ]
         for obj in grids:
             assert estimator._grid_local_minima(obj) == grid_local_minima_loop(obj)
+
+    @pytest.mark.parametrize(
+        "shape", [(n,) for n in (1, 2, 3, 64)]
+        + [(m, n) for m in (1, 2, 3, 64) for n in (1, 2, 3, 64)]
+    )
+    def test_window_minimum_matches_scipy_minimum_filter(self, shape):
+        from scipy.ndimage import minimum_filter
+
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        for trial in range(6):
+            obj = rng.integers(0, 4, shape).astype(float)  # plateaus and ties
+            if trial % 2:
+                obj[rng.random(shape) < 0.25] = np.inf
+            if trial == 5:
+                obj[rng.random(shape) < 0.25] = -np.inf
+            oracle = minimum_filter(obj, size=3, mode="nearest")
+            np.testing.assert_array_equal(estimator._window_minimum(obj), oracle)
+            expected = [tuple(int(i) for i in idx) for idx in np.argwhere(obj <= oracle)]
+            assert estimator._grid_local_minima(obj) == expected
