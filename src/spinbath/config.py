@@ -10,7 +10,8 @@ Each block is a frozen dataclass whose fields are its YAML keys: a field's
 default is the key's default (no default: the key is required) and its
 metadata names the parser that checks the value.  Unknown keys, wrong
 types and non-finite numbers raise ConfigError with the offending key
-path, e.g. "geometry.d_nv_nm: must be >= 0.1, got -3.0".
+path, e.g. "geometry.d_nv_nm: must be >= 0.1, got -3.0"; invalid YAML and
+a key repeated within one mapping raise it with the file's line.
 """
 
 from __future__ import annotations
@@ -415,14 +416,43 @@ def parse_config(tree: dict) -> ToolkitConfig:
     return _parse_block(ToolkitConfig, tree, "")
 
 
+class _DuplicateKey(yaml.YAMLError):
+    """A mapping key given twice; its message names the key and line."""
+
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe YAML loader, libyaml's where PyYAML has it, that rejects repeated keys."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # the base class resolves `<<` merge keys, and a non-scalar key
+            # is never a config key: check the explicit scalar keys only
+            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag.endswith(":merge"):
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                line = key_node.start_mark.line + 1
+                raise _DuplicateKey(f"duplicate key {key!r} at line {line}")
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path: str | Path) -> ToolkitConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"{p}: config file not found")
     try:
-        tree = yaml.safe_load(p.read_text())
+        tree = yaml.load(p.read_bytes(), Loader=_Loader)
+    except _DuplicateKey as exc:
+        raise ConfigError(f"{p}: {exc}") from None
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark or exc.context_mark
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = exc.problem or exc.context
+        raise ConfigError(f"{p}: invalid YAML{where}: {problem}") from None
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{p}: invalid YAML ({exc})") from exc
+        raise ConfigError(f"{p}: invalid YAML: {' '.join(str(exc).split())}") from None
     if tree is None:
         raise ConfigError(f"{p}: config file is empty")
     return parse_config(tree)

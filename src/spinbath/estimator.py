@@ -21,6 +21,7 @@ center of the nuisance box).
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,6 +74,14 @@ class ForwardModel:
     fits; building it costs one diagonalization pair per (field, θ node).
     `isotopes` and `eta_floor` are passed to `isotope_family_spectrum`.
 
+    With `workers` > 1 the (field, node) entries are built on that many
+    threads (at most one per entry); `eigh` releases the GIL, so they run
+    in parallel.  Each entry is stored under its key, so the cache is the
+    same, bit for bit, for any worker count.  The threads pay off only when
+    BLAS runs one thread each: the CLI pins BLAS to one thread before numpy
+    loads, while an in-process caller whose BLAS is already multithreaded
+    oversubscribes the cores and should keep the default of 1.
+
     Between nodes the rate is interpolated linearly in θ.  It is not linear
     once the Lorentzian width 1/τ_e is below the distance a line moves
     between two nodes, so the error grows with τ_e and the node step.
@@ -95,6 +104,7 @@ class ForwardModel:
         bin_width: float = DEFAULT_BIN,
         isotopes: tuple[Isotope, ...] = CU_ISOTOPES,
         eta_floor: float = DEFAULT_ETA_FLOOR,
+        workers: int = 1,
     ):
         self.fields_gauss = tuple(float(b) for b in fields_gauss)
         self.nv = nv or NvConfig()
@@ -115,20 +125,33 @@ class ForwardModel:
                 for b in self.fields_gauss
             ]
         )
-        for j, theta in enumerate(self.theta_nodes):
-            for i, b in enumerate(self.fields_gauss):
-                spec = replace(
-                    base_spec, b_field=b * GAUSS_TO_TESLA, theta_e=float(theta)
-                )
-                omega, weight = isotope_family_spectrum(
-                    spec, isotopes=isotopes, eta_floor=eta_floor
-                ).binned(bin_width)
-                w_nv = self._omega_nv[i]
-                self._cache[(i, j)] = (
-                    (omega - w_nv).astype(np.float32),
-                    (omega + w_nv).astype(np.float32),
-                    weight.astype(np.float32),
-                )
+        n_fields = len(self.fields_gauss)
+        keys = [(i, j) for j in range(self.theta_nodes.size) for i in range(n_fields)]
+
+        def entry(key):
+            i, j = key
+            spec = replace(
+                base_spec,
+                b_field=self.fields_gauss[i] * GAUSS_TO_TESLA,
+                theta_e=float(self.theta_nodes[j]),
+            )
+            omega, weight = isotope_family_spectrum(
+                spec, isotopes=isotopes, eta_floor=eta_floor
+            ).binned(bin_width)
+            w_nv = self._omega_nv[i]
+            return (
+                (omega - w_nv).astype(np.float32),
+                (omega + w_nv).astype(np.float32),
+                weight.astype(np.float32),
+            )
+
+        workers = min(workers, len(keys))
+        if workers > 1:
+            # eigh releases the GIL; map() hands the entries back in key order
+            with ThreadPoolExecutor(workers) as pool:
+                self._cache.update(zip(keys, pool.map(entry, keys)))
+        else:
+            self._cache.update(zip(keys, map(entry, keys)))
 
     def _node_rates(self, taus: np.ndarray, nodes: np.ndarray, fields) -> np.ndarray:
         """ΔΓ₁ for b₀² = 1 T² at θ nodes `nodes`: (n_τ, n_node, len(fields)).
@@ -263,6 +286,17 @@ class FitProblem:
         raise KeyError(name)
 
 
+def _value(problem: FitProblem, params: dict, name: str):
+    """`params[name]`, else the parameter's fixed value."""
+    return params[name] if name in params else problem.fixed_value(name)
+
+
+def _b0_sq(problem: FitProblem, params: dict):
+    """The b₀² multiplier of the (d_nv, h, n_e) values in `params`."""
+    d_nv, h, n_e = (_value(problem, params, n) for n in ("d_nv", "h", "n_e"))
+    return slab_b0_sq(d_nv, h, n_e, gamma_e=problem.model.nv.gamma_e)
+
+
 def _model_prediction(
     problem: FitProblem, params: dict, field_idx: np.ndarray
 ) -> np.ndarray:
@@ -271,15 +305,11 @@ def _model_prediction(
     Returns shape (..., n_records); parameters absent from `params` take
     their fixed values.
     """
-
-    def value(name: str):
-        return params[name] if name in params else problem.fixed_value(name)
-
-    b0_sq = slab_b0_sq(
-        value("d_nv"), value("h"), value("n_e"), gamma_e=problem.model.nv.gamma_e
-    )
     return problem.model.delta_gammas(
-        value("tau_e"), value("theta_e"), b0_sq, fields=field_idx
+        _value(problem, params, "tau_e"),
+        _value(problem, params, "theta_e"),
+        _b0_sq(problem, params),
+        fields=field_idx,
     )
 
 
@@ -504,17 +534,28 @@ def _nuisance_probes(problem: FitProblem) -> list[dict[str, float]]:
 def _accepted(problem: FitProblem, vals, epsilon_scale: float) -> np.ndarray:
     """Whether some nuisance probe brings every point within ε of the data.
 
-    `vals` are broadcastable values of the free parameters; each probe is
-    one broadcast evaluation and the per-probe masks are OR-reduced.
+    `vals` are broadcastable values of the free parameters.  Probes that
+    share their (τ_e, θ_e) values share one `unit_rates` evaluation, which
+    each scales by its own b₀²; the per-probe masks are OR-reduced.
     """
     field_idx = problem._field_indices()
     exp, sig = problem.data.delta_gammas()
     eps = epsilon_scale * sig
-    ok = False
+    groups: dict[tuple, list[dict]] = {}
     for probe in _nuisance_probes(problem):
         params = {**dict(zip(problem.free, vals)), **probe}
-        th = _model_prediction(problem, params, field_idx)
-        ok = ok | np.all(np.abs(exp - th) < eps, axis=-1)
+        key = tuple(probe.get(name) for name in ("tau_e", "theta_e"))
+        groups.setdefault(key, []).append(params)
+    ok = False
+    for members in groups.values():
+        unit = problem.model.unit_rates(
+            _value(problem, members[0], "tau_e"),
+            _value(problem, members[0], "theta_e"),
+            field_idx,
+        )
+        for params in members:
+            th = np.asarray(_b0_sq(problem, params))[..., None] * unit
+            ok = ok | np.all(np.abs(exp - th) < eps, axis=-1)
     return ok
 
 

@@ -171,13 +171,29 @@ class TransitionSpectrum:
         return omega, weight
 
     def binned(self, bin_width: float = DEFAULT_BIN) -> tuple[np.ndarray, np.ndarray]:
-        """merged() lines in weight-conserving bins at their weighted means."""
-        omega, weight = self.merged()
-        idx = np.round(omega / bin_width).astype(np.int64)
+        """merged() lines in weight-conserving bins at their weighted means.
+
+        Bin k holds the lines with round(ω / bin_width) = k; the bins come
+        out in ascending k.  Each component's ω is sorted, so its bins are
+        runs and are summed in place.  The short per-component bin lists
+        are then merged by a stable sort on k, which also joins the repeated
+        runs of a component that is not sorted.
+        """
+        runs = []
+        for c in self.components:
+            weight = c.isotope.abundance * c.eta
+            idx = np.round(c.omega / bin_width).astype(np.int64)
+            runs.append(_sum_runs(idx, weight, c.omega * weight))
+        idx, weight, moment = (np.concatenate(parts) for parts in zip(*runs))
         order = np.argsort(idx, kind="stable")
-        _, starts = np.unique(idx[order], return_index=True)
-        w_out = np.add.reduceat(weight[order], starts)
-        return np.add.reduceat((omega * weight)[order], starts) / w_out, w_out
+        _, w_out, m_out = _sum_runs(idx[order], weight[order], moment[order])
+        return m_out / w_out, w_out
+
+
+def _sum_runs(idx: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(index of each run of equal `idx`, then each of `values` summed per run)."""
+    starts = np.flatnonzero(np.diff(idx, prepend=idx[:1] - 1))
+    return idx[starts], *(np.add.reduceat(v, starts) for v in values)
 
 
 def spin_operators(spin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

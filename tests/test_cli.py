@@ -15,6 +15,7 @@ from spinbath.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_UNIDENTIFIABLE,
+    _worker_count,
     main,
 )
 
@@ -303,15 +304,37 @@ def test_fit_nonpositive_box_edge_is_config_error(
             "geometry.n_e_interval_per_nm3",
         ),
         ("spectrum", "hyperfine", "n_nitrogens", 5, "hyperfine.n_nitrogens"),
+        # text edits of the shipped file (block None: `key` becomes `value`);
+        # the message follows the file's path
+        pytest.param(
+            "spectrum", None, "  tau_e_ns: 2.0\n", "  tau_e_ns: 2.0\n  tau_e_ns: 50.0\n",
+            "duplicate key 'tau_e_ns' at line 43", id="duplicate-key",
+        ),
+        pytest.param(
+            "spectrum", None, "{label: 63Cu, abundance: 0.6915,",
+            "{label: 63Cu, abundance: 0.6915, abundance: 1.0,",
+            "duplicate key 'abundance' at line 17", id="duplicate-flow-key",
+        ),
+        pytest.param(
+            "spectrum", None, "  branch: minus\n", "  branch: [minus\n",
+            "invalid YAML at line 41, column 5: did not find expected ',' or ']'",
+            id="invalid-yaml",
+        ),
     ],
 )
 def test_bad_config_key_is_one_line_config_error(
     command, block, key, value, where, tmp_path, capsys
 ):
-    tree = yaml.safe_load(CONFIG_PATH.read_text())
-    tree[block][key] = value
     bad = tmp_path / "bad.yaml"
-    bad.write_text(yaml.safe_dump(tree))
+    if block is None:
+        text = CONFIG_PATH.read_text()
+        assert text.count(key) == 1
+        bad.write_text(text.replace(key, value))
+        where = f"{bad}: {where}"
+    else:
+        tree = yaml.safe_load(CONFIG_PATH.read_text())
+        tree[block][key] = value
+        bad.write_text(yaml.safe_dump(tree))
     code = run_cli(command, "--config", bad, "--out", tmp_path / "out")
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -449,3 +472,50 @@ def test_fit_loads_no_scipy_ndimage(tmp_path, small_model, geometry):
     assert code in (EXIT_OK, EXIT_AMBIGUOUS)
     assert "scipy.optimize" in modules
     assert not [m for m in modules if m.startswith("scipy.ndimage")]
+
+
+def test_worker_count_parses_and_caps():
+    assert _worker_count("", 3) == 3  # unset: one thread per usable CPU
+    assert _worker_count(" 2 ", 4) == 2
+    assert _worker_count("1000000", 2) == 2  # never more threads than CPUs
+    for bad in ("abc", "0", "-1", "1.5", "2 threads"):
+        with pytest.raises(ValueError, match="SPINBATH_THREADS"):
+            _worker_count(bad, 2)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_spinbath_threads_exits_2_with_one_line(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPINBATH_THREADS", value)
+    code = run_cli("spectrum", "--config", CONFIG_PATH, "--out", tmp_path, "--points", 5)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: SPINBATH_THREADS") and err.count("\n") == 1
+
+
+def test_fit_bytes_same_on_one_and_two_threads(tmp_path, small_model, geometry):
+    """The θ-cache threads of a CLI fit leave every output byte unchanged."""
+    tree = yaml.safe_load(CONFIG_PATH.read_text())
+    tree["fit"]["theta_step_deg"] = 45.0
+    config = tmp_path / "coarse.yaml"
+    config.write_text(yaml.safe_dump(tree))
+    data = _two_field_table(tmp_path, small_model, geometry)
+    env = dict(os.environ)  # SOURCE_DATE_EPOCH is pinned
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "spinbath.cli", "fit", "--config", str(config),
+                "--data", str(data), "--out", str(out), "--grid", "8",
+            ],
+            capture_output=True, text=True, env={**env, "SPINBATH_THREADS": threads},
+            timeout=300,
+        )
+        assert proc.returncode in (EXIT_OK, EXIT_AMBIGUOUS), proc.stderr
+        outputs.append(
+            [(out / name).read_bytes() for name in ("fit.json", "fit_landscape.csv")]
+        )
+    assert outputs[0] == outputs[1]

@@ -38,6 +38,22 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
 
+    def test_loader_reads_the_safe_load_tree(self):
+        """The libyaml loader with its duplicate-key check changes no tree."""
+        from spinbath.config import _Loader
+
+        text = CONFIG_PATH.read_text()
+        assert yaml.load(text, Loader=_Loader) == yaml.safe_load(text)
+        merged = "base: &b {x: 1, y: 2}\nuse:\n  <<: *b\n  y: 3\n"
+        assert yaml.load(merged, Loader=_Loader) == yaml.safe_load(merged)
+
+    def test_non_utf8_file_is_one_line_config_error(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(CONFIG_PATH.read_bytes().replace(b"minus", b"min\xffus"))
+        with pytest.raises(ConfigError, match="invalid YAML") as exc:
+            load_config(bad)
+        assert "\n" not in str(exc.value)
+
 
 class TestConfigValidation:
     def test_unknown_block_rejected(self):

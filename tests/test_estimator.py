@@ -23,7 +23,14 @@ from spinbath.bathspectrum import (
 )
 from spinbath.constants import GAUSS_TO_TESLA
 from spinbath.errors import UnidentifiableError
-from spinbath.estimator import FitProblem, FitResult, confidence_region, estimate_depth, fit
+from spinbath.estimator import (
+    FitProblem,
+    FitResult,
+    ForwardModel,
+    confidence_region,
+    estimate_depth,
+    fit,
+)
 from spinbath.spinmodel import DEFAULT_BIN, isotope_family_spectrum
 from spinbath.relaxometry import MeasurementSet, T1Record, nv_frequency
 
@@ -98,6 +105,48 @@ class TestForwardModelCache:
             w_nv = nv_frequency(nv, gauss * GAUSS_TO_TESLA)
             exact = nv.gamma_e**2 * raw_spectral_density(m, w_nv)
             assert abs(cached[i] / exact - 1.0) < 1e-4
+
+    def test_workers_give_identical_cache(self, shipped_config):
+        """Threads change when an entry is built, never what it holds."""
+        kw = dict(
+            fields_gauss=(231.0, 461.0),
+            base_spec=shipped_config.spin_spec(1e-4),
+            nv=shipped_config.nv_config(),
+            theta_step=math.radians(45.0),
+        )
+        serial = ForwardModel(**kw)
+        threaded = ForwardModel(**kw, workers=2)
+        assert list(threaded._cache) == list(serial._cache)
+        assert len(serial._cache) == 6
+        for key, arrays in serial._cache.items():
+            for got, want in zip(threaded._cache[key], arrays, strict=True):
+                assert got.dtype == want.dtype == np.float32
+                np.testing.assert_array_equal(got, want)
+
+    def test_workers_capped_at_entries(self, shipped_config, monkeypatch):
+        """A huge worker count asks the pool for one thread per entry."""
+        asked = []
+
+        class Pool:  # runs the entries in this thread
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(estimator, "ThreadPoolExecutor", Pool)
+        model = ForwardModel(
+            fields_gauss=(461.0,),
+            base_spec=shipped_config.spin_spec(1e-4),
+            theta_step=math.radians(90.0),
+            workers=10**6,
+        )
+        assert asked == [2] and len(model._cache) == 2
 
     def test_interpolation_between_nodes(self, small_model, geometry):
         """Mid-node evaluation lies between the two node values."""
@@ -378,6 +427,29 @@ class TestVectorizedAgainstLoops:
         small_model.unit_rates(np.full(5, 2e-9), np.full(5, 0.7))
         small_model.delta_gamma_unit(1, 2e-9, 0.7)
         assert sums == [4, 4, 2]
+
+    @pytest.mark.parametrize(
+        "free, groups", [(("tau_e", "theta_e"), 1), (("d_nv", "theta_e"), 3)]
+    )
+    def test_probes_share_rates_by_tau_theta(
+        self, free, groups, small_model, geometry, nuisance_fixed, monkeypatch
+    ):
+        """One unit_rates call per distinct (τ_e, θ_e) among the 9 probes."""
+        rng = np.random.default_rng(29)
+        records = synth_records(small_model, geometry, 2e-9, 0.75, rng, noise=0.02)
+        problem = make_problem(records, small_model, geometry, free, nuisance_fixed(free))
+        assert len(estimator._nuisance_probes(problem)) == 9
+        calls = []
+        unit_rates = small_model.unit_rates
+
+        def spy(tau, theta, fields=None):
+            calls.append(1)
+            return unit_rates(tau, theta, fields)
+
+        monkeypatch.setattr(small_model, "unit_rates", spy)
+        grids = [estimator._param_grid(problem, n, 6) for n in free]
+        estimator._accepted(problem, np.meshgrid(*grids, indexing="ij", sparse=True), 1.0)
+        assert len(calls) == groups
 
     @pytest.mark.parametrize(
         "free", [("tau_e", "theta_e"), ("d_nv", "theta_e"), ("tau_e",)]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -10,9 +11,11 @@ from spinbath.errors import DimensionError
 from spinbath.spinmodel import (
     CU_ISOTOPES,
     CU_TENSOR,
+    DEFAULT_BIN,
     N_TENSOR,
     HyperfineTensor,
     SpinSystemSpec,
+    TransitionSpectrum,
     _assemble_hamiltonian,
     _block_site_lists,
     _lab_hyperfine_tensors,
@@ -23,7 +26,13 @@ from spinbath.spinmodel import (
     transition_spectrum,
 )
 
-from helpers import complex_kron_hamiltonian, line_sum, one_isotope_family, oracle_family
+from helpers import (
+    complex_kron_hamiltonian,
+    line_sum,
+    one_isotope_family,
+    oracle_family,
+    sort_binned,
+)
 
 
 def default_spec(b_gauss=461.0, theta_deg=43.05, **kw):
@@ -322,3 +331,45 @@ def test_cu_tensor_values():
 def test_isotope_table():
     labels = [(i.label, i.abundance, i.scale) for i in CU_ISOTOPES]
     assert labels == [("63Cu", 0.6915, 1.0), ("65Cu", 0.3085, 1.07)]
+
+
+def assert_same_bins(family, bin_width):
+    """binned() against the sort-based oracle: bins, centres and weights."""
+    centres, weights = family.binned(bin_width)
+    ref_centres, ref_weights = sort_binned(family, bin_width)
+    assert centres.size == ref_centres.size
+    # the same bin set: every centre rounds to the oracle's bin index
+    np.testing.assert_array_equal(
+        np.round(centres / bin_width), np.round(ref_centres / bin_width)
+    )
+    scale = np.abs(family.merged()[0]).max()
+    np.testing.assert_allclose(centres, ref_centres, rtol=0, atol=1e-15 * scale)
+    np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-15)
+
+
+class TestBinned:
+    """Run-based binning against one stable sort of all merged lines."""
+
+    @pytest.mark.parametrize("theta_deg", [0.0, 43.0, 90.0])
+    @pytest.mark.parametrize("b_gauss", [231.0, 372.0, 461.0, 721.0])
+    def test_matches_sort_oracle(self, b_gauss, theta_deg):
+        family = isotope_family_spectrum(default_spec(b_gauss, theta_deg))
+        assert_same_bins(family, DEFAULT_BIN)
+
+    def test_unsorted_component(self):
+        family = isotope_family_spectrum(default_spec(231.0, 43.0))
+        rng = np.random.default_rng(5)
+        first, second = family.components
+        perm = rng.permutation(first.omega.size)
+        shuffled = replace(first, omega=first.omega[perm], eta=first.eta[perm])
+        mixed = TransitionSpectrum(components=(shuffled, second))
+        assert_same_bins(mixed, DEFAULT_BIN)
+        centres, weights = mixed.binned()
+        assert np.all(np.diff(centres) > 0)  # one bin per index, in order
+        np.testing.assert_allclose(
+            weights, family.binned()[1], rtol=0, atol=1e-15
+        )
+
+    def test_one_hertz_bins(self):
+        family = isotope_family_spectrum(default_spec(461.0, 43.0))
+        assert_same_bins(family, 2.0 * np.pi)
