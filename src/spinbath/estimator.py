@@ -5,7 +5,8 @@ the eigendecomposition behind the transition spectrum, so the estimator
 precomputes a cache: for every (field, θ-node) pair it stores the binned
 line list shifted by ∓ω_NV.  `ForwardModel.unit_rates` evaluates ΔΓ₁ per
 unit b₀² on whole arrays of (τ_e, θ_e): it sums the lines of each θ node
-that brackets a queried θ once per distinct τ_e and interpolates linearly
+that brackets a queried θ once per distinct τ_e, keeps each node's last
+sum for a repeat of the same τ_e values, and interpolates linearly
 between the nodes.  The depth and film nuisances (d_nv, h, n_e) enter only
 through the multiplier b₀², so a grid mesh, a nuisance probe over that
 mesh and a single Nelder–Mead point are each one broadcast evaluation.
@@ -70,9 +71,17 @@ def _unit_lorentzian(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 class ForwardModel:
     """Cached ΔΓ₁^th(B; τ_e, θ_e) · b₀²-multiplier evaluator.
 
-    One instance is immutable after construction and safe to share across
-    fits; building it costs one diagonalization pair per (field, θ node).
+    Building it costs one diagonalization pair per (field, θ node);
     `isotopes` and `eta_floor` are passed to `isotope_family_spectrum`.
+    After construction the line cache is read-only.  The one mutable part
+    is a memo of the last line sum per (field, node): the bytes of the τ
+    array summed and the resulting row, stored as one tuple and replaced
+    whole, so a call with the same τ array reuses the row.  A depth fit
+    fixes τ_e, so its Nelder–Mead steps and confidence sweep re-read the
+    rows of its grid scan instead of summing the nodes again.  The memo
+    holds at most one entry per (field, node), and a concurrent reader
+    sees either an old or a new pair, never a mixed one, so an instance is
+    safe to share across fits and threads.
 
     With `workers` > 1 the (field, node) entries are built on that many
     threads (at most one per entry); `eigh` releases the GIL, so they run
@@ -119,6 +128,9 @@ class ForwardModel:
         # cache[(i_field, i_node)] = (minus, plus) float32 arrays of
         # (omega_line -/+ omega_nv) and the matching weights
         self._cache: dict[tuple[int, int], tuple] = {}
+        # sums[(i_field, i_node)] = (τ array bytes, line sums per τ) of the
+        # node's last sum
+        self._sums: dict[tuple[int, int], tuple[bytes, np.ndarray]] = {}
         self._omega_nv = np.array(
             [
                 nv_frequency(self.nv, b * GAUSS_TO_TESLA)
@@ -159,12 +171,18 @@ class ForwardModel:
         The line sum runs in float32 over chunks of τ, so no work array
         exceeds _CHUNK_ELEMENTS.  Each τ row is reduced on its own (pairwise
         summation), so its value does not depend on which other τ share the
-        call.
+        call.  A (field, node) whose last sum was over the same τ bytes
+        reuses that row from the memo.
         """
         lines = np.empty((taus.size, nodes.size, len(fields)))
         t32 = taus.astype(np.float32)[:, None]
+        key = taus.tobytes()
         for f, i in enumerate(fields):
             for k, j in enumerate(nodes.tolist()):
+                memo = self._sums.get((i, j))
+                if memo is not None and memo[0] == key:
+                    lines[:, k, f] = memo[1]
+                    continue
                 diff, summ, w = self._cache[(i, j)]
                 step = max(1, _CHUNK_ELEMENTS // w.size)
                 for s in range(0, taus.size, step):
@@ -173,6 +191,7 @@ class ForwardModel:
                     lor += _unit_lorentzian(summ, t)
                     lor *= w
                     lines[s : s + step, k, f] = lor.sum(axis=-1)
+                self._sums[(i, j)] = (key, lines[:, k, f].copy())
         tau = taus[:, None, None]
         central = 2.0 * self._f_z / ((self._omega_nv[list(fields)] * tau) ** 2 + 1.0)
         return self.nv.gamma_e**2 * ((central + self._f_perp * lines) * tau)

@@ -101,6 +101,8 @@ def load_decay_curve(path: str | Path) -> DecayCurve:
             raise DataFormatError(f"{p}:{lineno}: non-numeric t_us/signal") from None
         if not np.isfinite(ti) or ti < 0:
             raise DataFormatError(f"{p}:{lineno}: t_us must be >= 0, got {raw_t}")
+        if not np.isfinite(yi):
+            raise DataFormatError(f"{p}:{lineno}: signal must be finite, got {raw_y}")
         if ti <= prev:
             raise DataFormatError(f"{p}:{lineno}: t_us must be strictly increasing")
         prev = ti

@@ -9,9 +9,10 @@ rate, and the film-induced change of rate
     delta_gamma = 1/T1|_film - 1/T1|_free
 
 is the observable every fit consumes.  Raw T1 curves are reduced with the
-stretched-exponential model y = A exp[-(t/T1)^iota] + C, and the
-temperature dependence of the molecular spin-lattice rate is modeled by
-one- and two-phonon Bose factors.
+stretched-exponential model y = A exp[-(t/T1)^iota] + C, fitted with its
+analytic Jacobian (`_stretched_exp_jac`), and the temperature dependence
+of the molecular spin-lattice rate is modeled by one- and two-phonon Bose
+factors.
 """
 
 from __future__ import annotations
@@ -125,6 +126,9 @@ class DecayCurve:
         s = np.asarray(self.sigma, dtype=float)
         if not (t.shape == y.shape == s.shape) or t.ndim != 1:
             raise ValueError("t, y, sigma must be 1-d arrays of equal length")
+        for name, values in (("times", t), ("signal", y), ("uncertainties", s)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(s <= 0):
@@ -169,10 +173,25 @@ def _stretched_exp(t: np.ndarray, a: float, t1: float, iota: float, c: float):
     return a * np.exp(-((t / t1) ** iota)) + c
 
 
+def _stretched_exp_jac(t: np.ndarray, a: float, t1: float, iota: float, c: float):
+    """∂y/∂(A, T1, iota, C), shape (t.size, 4), for t > 0.
+
+    With x = (t/T1)^iota and e = exp(-x): e, A e x iota / T1, -A e x ln(t/T1)
+    and 1.  Where x is large, e underflows to 0 and so does every product.
+    """
+    ratio = t / t1
+    x = ratio**iota
+    e = np.exp(-x)
+    aex = a * e * x
+    return np.stack([e, aex * (iota / t1), -aex * np.log(ratio), np.ones_like(t)], axis=1)
+
+
 def fit_decay(curve: DecayCurve) -> DecayFitResult:
     """Weighted multi-start least-squares fit of the stretched exponential.
 
-    Raises UnidentifiableError when the curve is constant within noise (A
+    TRF gets the analytic Jacobian of the weighted residual, and the
+    parameter covariance comes from that Jacobian at the solution.  Raises
+    UnidentifiableError when the curve is constant within noise (A
     unidentifiable) and ConvergenceError when no start converges.
     """
     # imported here, not at module level: spectrum, t1 and tau-ee load this
@@ -202,13 +221,16 @@ def fit_decay(curve: DecayCurve) -> DecayFitResult:
     def resid(p):
         return (_stretched_exp(t, *p) - y) / sig
 
+    def jac(p):
+        return _stretched_exp_jac(t, *p) / sig[:, None]
+
     best = None
     for t1_start in (t25, t50, t75):
         for iota_start in (0.7, 1.0, 1.5):
             p0 = np.clip([a0, t1_start, iota_start, c0], lo, hi)
             try:
-                sol = least_squares(resid, p0, bounds=(lo, hi), method="trf")
-            except Exception:
+                sol = least_squares(resid, p0, jac=jac, bounds=(lo, hi), method="trf")
+            except ValueError:  # LinAlgError and non-finite residuals; not bugs
                 continue
             if not sol.success:
                 continue

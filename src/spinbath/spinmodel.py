@@ -31,6 +31,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -211,6 +212,16 @@ def spin_operators(spin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sx, sy, sz
 
 
+@functools.lru_cache(maxsize=None)
+def _real_spin_operators(spin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only real (Sx, Im Sy, Sz) of `spin_operators`, cached per spin."""
+    sx, sy, sz = spin_operators(spin)
+    ops = sx.real.copy(), sy.imag.copy(), sz.real.copy()
+    for op in ops:
+        op.flags.writeable = False
+    return ops
+
+
 def rotation_about_y(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
@@ -261,24 +272,26 @@ def _assemble_hamiltonian(
     n = int(np.prod([int(round(2 * s + 1)) for s, _ in sites]))
     zeeman_row = (MU_B * spec.b_field / HBAR) * _g_tensor_lab(spec)[2, :]
     b = np.zeros((3, n, n))  # B_x, C_y, B_z
-    b[0], b[2] = zeeman_row[0] * np.eye(n), zeeman_row[2] * np.eye(n)
+    diagonal = np.einsum("kii->ki", b)  # writable view
+    diagonal[0], diagonal[2] = zeeman_row[0], zeeman_row[2]
     after = n  # dimension of the nuclei after the current site
     for s_nuc, a in sites:
-        ix, iy, iz = spin_operators(s_nuc)
-        ix, iy, iz = ix.real, iy.imag, iz.real
+        ix, iy, iz = _real_spin_operators(s_nuc)
         d = ix.shape[0]
         after //= d
+        before = n // (after * d)
         local = np.stack([a[0, 0] * ix + a[0, 2] * iz, a[1, 1] * iy, a[2, 0] * ix + a[2, 2] * iz])
-        # 1 (x) local (x) 1 for all three terms at once: entry [k, (i,p,x), (j,q,y)]
-        # = delta_ij local[k,p,q] delta_xy, the index order of np.kron
-        eye_l, eye_r = np.eye(n // (after * d)), np.eye(after)
-        b += (
-            eye_l[None, :, None, None, :, None, None]
-            * local[:, None, :, None, None, :, None]
-            * eye_r[None, None, None, :, None, None, :]
-        ).reshape(3, n, n)
+        # 1 (x) local (x) 1 for all three terms at once: the entries
+        # [k, (i,p,x), (i,q,x)] of b, in the index order of np.kron, as a view
+        block = np.einsum("kipxiqx->kipqx", b.reshape(3, before, d, after, before, d, after))
+        block += local[:, None, :, :, None]
     b_x, c_y, b_z = b
-    return 0.5 * np.block([[b_z, b_x + c_y], [b_x - c_y, -b_z]])
+    h = np.empty((2 * n, 2 * n))
+    np.multiply(b_z, 0.5, out=h[:n, :n])
+    np.multiply(b_x + c_y, 0.5, out=h[:n, n:])
+    np.multiply(b_x - c_y, 0.5, out=h[n:, :n])
+    np.multiply(b_z, -0.5, out=h[n:, n:])
+    return h
 
 
 def _check_dimension(spec: SpinSystemSpec, dim_cap: int) -> int:

@@ -261,6 +261,36 @@ def complex_kron_hamiltonian(spec):
     return sum(np.kron(s, b) for s, b in zip(spin_operators(0.5), b_ops))
 
 
+def broadcast_assembled_hamiltonian(spec, sites):
+    """`_assemble_hamiltonian` by a 7-d broadcast product per site.
+
+    The oracle for the in-place assembly: it adds every entry of each
+    1 (x) local (x) 1, zeros included, and builds H with `np.block`.
+    """
+    from spinbath.constants import HBAR, MU_B
+    from spinbath.spinmodel import _g_tensor_lab, spin_operators
+
+    n = int(np.prod([int(round(2 * s + 1)) for s, _ in sites]))
+    zeeman_row = (MU_B * spec.b_field / HBAR) * _g_tensor_lab(spec)[2, :]
+    b = np.zeros((3, n, n))
+    b[0], b[2] = zeeman_row[0] * np.eye(n), zeeman_row[2] * np.eye(n)
+    after = n
+    for s_nuc, a in sites:
+        ix, iy, iz = spin_operators(s_nuc)
+        ix, iy, iz = ix.real, iy.imag, iz.real
+        d = ix.shape[0]
+        after //= d
+        local = np.stack([a[0, 0] * ix + a[0, 2] * iz, a[1, 1] * iy, a[2, 0] * ix + a[2, 2] * iz])
+        eye_l, eye_r = np.eye(n // (after * d)), np.eye(after)
+        b += (
+            eye_l[None, :, None, None, :, None, None]
+            * local[:, None, :, None, None, :, None]
+            * eye_r[None, None, None, :, None, None, :]
+        ).reshape(3, n, n)
+    b_x, c_y, b_z = b
+    return 0.5 * np.block([[b_z, b_x + c_y], [b_x - c_y, -b_z]])
+
+
 def two_product_spectrum(spec, eta_floor=1e-12):
     """(omega, eta, eta_sum_all, eta_static, eta_pruned) from the dense S_x.
 
@@ -428,3 +458,44 @@ def accepted_loop(problem, grids, epsilon_scale):
                 accepted[idx] = True
                 break
     return accepted
+
+
+# ---------------------------------------------------------------------------
+# finite-difference oracle for the stretched-exponential fit
+# ---------------------------------------------------------------------------
+
+
+def fit_decay_fd(curve):
+    """`fit_decay` with SciPy's default 2-point Jacobian in TRF.
+
+    The same starts, bounds and tolerances; the covariance comes from the
+    finite-difference Jacobian at the solution.
+    """
+    from scipy.optimize import least_squares
+
+    from spinbath.relaxometry import IOTA_BOUNDS, DecayFitResult, _stretched_exp
+
+    t, y, sig = curve.t, curve.y, curve.sigma
+    if t[0] <= 0:
+        t = t.copy()
+        t[0] = t[1] * 1e-6
+    span = float(np.max(y) - np.min(y))
+    t25, t50, t75 = np.quantile(t, [0.25, 0.5, 0.75])
+    lo = [-10 * abs(span) - 1e-12, t[0] / 100.0, IOTA_BOUNDS[0], np.min(y) - span - 1e-9]
+    hi = [10 * abs(span) + 1e-12, t[-1] * 100.0, IOTA_BOUNDS[1], np.max(y) + span + 1e-9]
+
+    def resid(p):
+        return (_stretched_exp(t, *p) - y) / sig
+
+    best = None
+    for t1_start in (t25, t50, t75):
+        for iota_start in (0.7, 1.0, 1.5):
+            p0 = np.clip([y[0] - y[-1], t1_start, iota_start, y[-1]], lo, hi)
+            sol = least_squares(resid, p0, bounds=(lo, hi), method="trf")
+            if sol.success and (best is None or sol.cost < best.cost):
+                best = sol
+    cov = np.linalg.inv(best.jac.T @ best.jac)
+    perr = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
+    return DecayFitResult(
+        *best.x, *perr, chi2_red=2.0 * best.cost / max(len(curve) - 4, 1)
+    )

@@ -372,6 +372,21 @@ def test_decay_fit_flat_curve_unidentifiable(tmp_path):
     assert code == EXIT_UNIDENTIFIABLE
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_decay_fit_non_finite_signal_is_data_error(bad, tmp_path, capsys):
+    data = tmp_path / "decay.csv"
+    lines = ["t_us,signal,sigma"]
+    lines += [f"{t},{float(np.exp(-t / 10.0))!r},0.01" for t in range(1, 31)]
+    lines[5] = f"5,{bad},0.01"
+    data.write_text("\n".join(lines) + "\n")
+    code = run_cli(
+        "decay-fit", "--config", CONFIG_PATH, "--out", tmp_path, "--data", data
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: {data}:6: signal must be finite, got {bad}\n"
+
+
 @pytest.fixture()
 def no_config_load(monkeypatch):
     """Fail the test if the command gets as far as reading its config."""

@@ -195,6 +195,125 @@ class TestForwardModelCache:
         np.testing.assert_allclose(b, 3.0 * a, rtol=1e-12)
 
 
+class _NoMemo(dict):
+    """A `ForwardModel._sums` that keeps no row: the memo switched off."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestNodeSumMemo:
+    """The last line sum per (field, node), reused for the same τ array."""
+
+    @staticmethod
+    def problem(model, geometry, nuisance_fixed, free):
+        rng = np.random.default_rng(31)
+        records = synth_records(
+            model, geometry, 2e-9, 0.75, rng, noise=0.03, d_nv=7e-9
+        )
+        return make_problem(records, model, geometry, free, nuisance_fixed(free))
+
+    @pytest.mark.parametrize("free", [("d_nv", "theta_e"), ("tau_e", "theta_e")])
+    def test_memo_changes_no_bit(
+        self, free, small_model, geometry, nuisance_fixed, monkeypatch
+    ):
+        """Landscape, minima, σ and confidence equal with the memo on and off."""
+        problem = self.problem(small_model, geometry, nuisance_fixed, free)
+
+        def run():
+            if free == ("d_nv", "theta_e"):
+                return estimate_depth(problem, grid_points=32)
+            res = fit(problem, grid_points=32)
+            return replace(res, confidence=confidence_region(problem, res, grid_points=32))
+
+        monkeypatch.setattr(small_model, "_sums", {})
+        first, again = run(), run()  # the second starts from this problem's rows
+        n_entries = len(small_model.fields_gauss) * small_model.theta_nodes.size
+        assert 0 < len(small_model._sums) <= n_entries
+        assert set(small_model._sums) <= set(small_model._cache)
+        monkeypatch.setattr(small_model, "_sums", _NoMemo())
+        off = run()
+        for on in (first, again):
+            for got, want in zip(on.landscape[0], off.landscape[0], strict=True):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(on.landscape[1], off.landscape[1])
+            assert on.minima == off.minima
+            assert on.param_sigma == off.param_sigma
+            assert on.confidence == off.confidence
+            assert on.boundary_minimum == off.boundary_minimum
+
+    def test_depth_refinement_sums_no_node(
+        self, small_model, geometry, nuisance_fixed, monkeypatch
+    ):
+        """τ_e is fixed in a depth fit: after the grid scan every sum is a memo hit."""
+        problem = self.problem(small_model, geometry, nuisance_fixed, ("d_nv", "theta_e"))
+        monkeypatch.setattr(small_model, "_sums", {})
+        calls = []
+        lorentzian = estimator._unit_lorentzian
+
+        def counting(x, t):
+            calls.append(t.shape)
+            return lorentzian(x, t)
+
+        at_refinement = []
+        minimize = estimator.minimize
+
+        def refine(*args, **kwargs):
+            at_refinement.append(len(calls))
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "_unit_lorentzian", counting)
+        monkeypatch.setattr(estimator, "minimize", refine)
+        fit(problem, grid_points=32)
+        # the 32-point θ grid brackets every 15° node: each (field, node) is
+        # summed once, two Lorentzians (ω ∓ ω_NV) over one τ
+        n_sums = len(small_model.fields_gauss) * small_model.theta_nodes.size
+        assert at_refinement and at_refinement[0] == 2 * n_sums
+        assert len(calls) == 2 * n_sums
+        assert set(calls) == {(1, 1)}
+
+    def test_chunks_and_field_subsets_without_memo(self, small_model, monkeypatch):
+        """A row does not depend on its chunk or on the other fields, summed afresh."""
+        monkeypatch.setattr(small_model, "_sums", _NoMemo())
+        taus = np.geomspace(0.1e-9, 100e-9, 37)
+        whole = small_model.unit_rates(taus, 0.6)
+        np.testing.assert_array_equal(
+            small_model.unit_rates(taus, 0.6, fields=(1,))[..., 0], whole[..., 1]
+        )
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 3000)  # ~1 tau per chunk
+        np.testing.assert_array_equal(small_model.unit_rates(taus, 0.6), whole)
+
+    def test_other_tau_array_is_summed_afresh(self, small_model, monkeypatch):
+        """A row is reused only for the very τ array it was summed over."""
+        monkeypatch.setattr(small_model, "_sums", {})
+        taus = np.geomspace(0.1e-9, 100e-9, 9)
+        whole = small_model.unit_rates(taus, 0.6)
+        for part in (taus[:4], taus[1::2], taus[-1:]):
+            got = small_model.unit_rates(part, 0.6)
+            np.testing.assert_array_equal(got, whole[np.searchsorted(taus, part)])
+            (key, row), *_ = small_model._sums.values()
+            assert key == part.tobytes() and row.shape == part.shape
+
+    def test_shared_model_across_threads(self, small_model, monkeypatch):
+        """Threads alternating τ arrays on one model read only matching rows."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        monkeypatch.setattr(small_model, "_sums", {})
+        taus = [np.array([t]) for t in (0.5e-9, 2e-9, 13e-9)]
+        thetas = np.linspace(0.0, np.pi / 2, 7)
+        want = [small_model.unit_rates(t[:, None], thetas) for t in taus]
+
+        def work(k):
+            for step in range(30):
+                i = (k + step) % len(taus)
+                np.testing.assert_array_equal(
+                    small_model.unit_rates(taus[i][:, None], thetas), want[i]
+                )
+
+        with ThreadPoolExecutor(2) as pool:
+            list(pool.map(work, range(2)))
+
+
 class TestFit:
     def test_deterministic(self, small_model, shipped_config, geometry):
         rng = np.random.default_rng(42)

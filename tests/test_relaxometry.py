@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import golden_rule_rate_quad, lindblad_correlators
+import spinbath.relaxometry as relaxometry
+from helpers import fit_decay_fd, golden_rule_rate_quad, lindblad_correlators
 from spinbath.bathspectrum import autocorrelation, geometry_factors, spectral_density
 from spinbath.constants import GAMMA_E, GAUSS_TO_TESLA, HBAR, K_B, TWO_PI
-from spinbath.errors import UnidentifiableError
+from spinbath.errors import ConvergenceError, UnidentifiableError
 from spinbath.relaxometry import (
     DecayCurve,
     NvConfig,
@@ -179,6 +180,91 @@ class TestFitDecay:
             DecayCurve(t=np.array([0.0, 2.0, 1.0]), y=np.zeros(3), sigma=np.ones(3))
         with pytest.raises(ValueError):
             DecayCurve(t=np.array([0.0, 1.0]), y=np.zeros(2), sigma=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field, name", [("t", "times"), ("y", "signal"), ("sigma", "uncertainties")]
+    )
+    def test_non_finite_sample_rejected(self, field, name, bad):
+        arrays = dict(
+            t=np.arange(1.0, 9.0), y=np.linspace(1.0, 0.0, 8), sigma=np.full(8, 0.01)
+        )
+        arrays[field][3] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DecayCurve(**arrays)
+
+    def test_jacobian_matches_central_differences(self):
+        """Each column of the analytic Jacobian within 1e-6 of central differences.
+
+        T1 is drawn across the sampled times, inside fit_decay's bounds.  Far
+        below them the curve has decayed at every sample but the first, and
+        the differences lose their digits to round-off, not the Jacobian.
+        """
+        rng = np.random.default_rng(41)
+        t = self.make_curve().t.copy()
+        t[0] = t[1] * 1e-6  # the nudge fit_decay applies to a zero delay
+        for _ in range(50):
+            p = np.array(
+                [
+                    rng.uniform(-2.0, 2.0),
+                    np.exp(rng.uniform(np.log(t[1]), np.log(t[-1]))),
+                    rng.uniform(*relaxometry.IOTA_BOUNDS),
+                    rng.uniform(-1.0, 1.0),
+                ]
+            )
+            jac = relaxometry._stretched_exp_jac(t, *p)
+            for k in range(4):
+                # C only shifts y; difference the other columns at C = 0 so
+                # that it does not swamp their smallest terms
+                q = p if k == 3 else np.append(p[:3], 0.0)
+                h = np.zeros(4)
+                h[k] = 1e-5 * abs(p[k])
+                fd = (
+                    relaxometry._stretched_exp(t, *(q + h))
+                    - relaxometry._stretched_exp(t, *(q - h))
+                ) / (2.0 * h[k])
+                assert np.linalg.norm(jac[:, k] - fd) <= 1e-6 * np.linalg.norm(fd), (p, k)
+
+    @staticmethod
+    def benchmark_style_curves():
+        """Seeded traces shaped like the benchmark's: exp decay, 40 points to 4 T1."""
+        for seed in range(6):
+            rng = np.random.default_rng([seed, 2])
+            noise = (0.01, 0.02, 0.04)[seed % 3]
+            for t1 in (5e-3, rng.uniform(0.2e-3, 4e-3)):
+                t = np.linspace(0.0, 4.0 * t1, 40)
+                y = np.exp(-t / t1) + noise * rng.standard_normal(t.size)
+                yield DecayCurve(t=t, y=y, sigma=np.full(t.size, noise))
+
+    def test_fit_matches_finite_difference_oracle(self):
+        """The analytic-Jacobian fit lands where the 2-point one did."""
+        curves = [self.make_curve(), *self.benchmark_style_curves()]
+        for curve in curves:
+            got, want = fit_decay(curve), fit_decay_fd(curve)
+            for name in ("t1", "iota", "a"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-4)
+            for name in ("a_sigma", "t1_sigma", "iota_sigma", "c_sigma"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=2e-3)
+            assert got.chi2_red == pytest.approx(want.chi2_red, rel=1e-6)
+            assert abs(got.c - want.c) < 1e-3 * want.c_sigma
+
+    def test_fit_error_outside_value_error_surfaces(self, monkeypatch):
+        """Only ValueError (LinAlgError, non-finite residuals) skips a start."""
+
+        def broken(*args):
+            raise ZeroDivisionError("bug in the Jacobian")
+
+        monkeypatch.setattr(relaxometry, "_stretched_exp_jac", broken)
+        with pytest.raises(ZeroDivisionError):
+            fit_decay(self.make_curve())
+
+    def test_every_start_failing_is_a_convergence_error(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(relaxometry, "_stretched_exp_jac", singular)
+        with pytest.raises(ConvergenceError):
+            fit_decay(self.make_curve())
 
 
 class TestSpinLattice:

@@ -27,6 +27,7 @@ from spinbath.spinmodel import (
 )
 
 from helpers import (
+    broadcast_assembled_hamiltonian,
     complex_kron_hamiltonian,
     line_sum,
     one_isotope_family,
@@ -98,6 +99,36 @@ class TestHamiltonian:
         plus = comp.omega > 0
         np.testing.assert_allclose(comp.eta[plus].sum(), 0.25, rtol=1e-8)
         np.testing.assert_allclose(comp.eta[~plus].sum(), 0.25, rtol=1e-8)
+
+
+@pytest.mark.parametrize("b_gauss", [0.0, 231.0, 461.0, 721.0])
+def test_in_place_assembly_matches_broadcast_bytes(b_gauss):
+    """Every block and the full space equal the broadcast assembly, byte for byte.
+
+    `tobytes()` equality also pins the sign of every zero entry.
+    """
+    for theta_deg in (0.0, 0.3, 43.0, 90.0):
+        for iso in CU_ISOTOPES:
+            spec = default_spec(b_gauss, theta_deg, isotope=iso)
+            site_lists = [*_block_site_lists(spec), _lab_hyperfine_tensors(spec)]
+            assert len(site_lists) == 10
+            for sites in site_lists:
+                got = _assemble_hamiltonian(spec, sites)
+                want = broadcast_assembled_hamiltonian(spec, sites)
+                assert got.tobytes() == want.tobytes(), (theta_deg, iso.label)
+
+
+def test_in_place_assembly_values_with_g_parallel_below_g_perp():
+    """With g_par < g_perp the Zeeman x term is negative: equal values.
+
+    There the broadcast assembly leaves some zeros negative; only their
+    sign differs.
+    """
+    spec = replace(default_spec(461.0, 40.0), g_parallel=1.9, g_perp=2.1)
+    for sites in _block_site_lists(spec):
+        np.testing.assert_array_equal(
+            _assemble_hamiltonian(spec, sites), broadcast_assembled_hamiltonian(spec, sites)
+        )
 
 
 #: (isotope index, nitrogens, theta_e, B in tesla): both isotopes, 0-4
