@@ -74,7 +74,6 @@ _EXPORTS = {
     "DataFormatError": "errors",
     "ConvergenceError": "errors",
     "UnidentifiableError": "errors",
-    "DimensionError": "errors",
     "SpectrumError": "errors",
 }
 

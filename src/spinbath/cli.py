@@ -532,7 +532,9 @@ def cmd_depth(run: _Run) -> int:
                 fixed=fixed,
                 boxes=cfg.fit_boxes(),
             )
-            result = estimate_depth(problem, grid_points=grid)
+            result = estimate_depth(
+                problem, grid_points=grid, epsilon_scale=cfg.fit.epsilon_scale
+            )
         except UnidentifiableError as exc:
             failures.append(nv_id)
             rows.append({"nv_id": nv_id, "identifiable": False, "reason": str(exc)})

@@ -19,10 +19,6 @@ class DataFormatError(SpinbathError):
     """Malformed input data file; message names the file and row."""
 
 
-class DimensionError(ConfigError):
-    """Requested Hilbert-space dimension exceeds the configured cap."""
-
-
 class SpectrumError(SpinbathError):
     """Eigensolver failure on a spin Hamiltonian."""
 

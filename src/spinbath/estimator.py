@@ -8,20 +8,21 @@ unit b₀² on whole arrays of (τ_e, θ_e): it sums the lines of each θ node
 that brackets a queried θ once per distinct τ_e, keeps each node's last
 sum for a repeat of the same τ_e values, and interpolates linearly
 between the nodes.  The depth and film nuisances (d_nv, h, n_e) enter only
-through the multiplier b₀², so a grid mesh, a nuisance probe over that
-mesh and a single Nelder–Mead point are each one broadcast evaluation.
+through the multiplier b₀², so a grid mesh and a single Nelder–Mead point
+are each one broadcast evaluation.
 
 Fitting is a deterministic coarse grid scan (64 points per free
 dimension) followed by Nelder–Mead refinement from every grid-local
 minimum; all surviving minima are reported, never auto-selected.  The
 confidence region is the set of grid points whose model prediction can be
-brought within ε of every data point by some nuisance probe (corners +
-center of the nuisance box).
+brought within ε of every data point by some value in the nuisance box.
+b₀² is monotone in each of d_nv, h and n_e, so the box is one b₀²
+interval, and each grid point is tested against it in closed form; a τ_e
+or θ_e fixed on an interval is sampled at the grid nodes it spans.
 """
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -77,8 +78,9 @@ class ForwardModel:
     is a memo of the last line sum per (field, node): the bytes of the τ
     array summed and the resulting row, stored as one tuple and replaced
     whole, so a call with the same τ array reuses the row.  A depth fit
-    fixes τ_e, so its Nelder–Mead steps and confidence sweep re-read the
-    rows of its grid scan instead of summing the nodes again.  The memo
+    fixes τ_e, so its Nelder–Mead steps re-read the rows of its grid scan
+    instead of summing the nodes again, and the test of its best point
+    re-reads the rows of its confidence sweep.  The memo
     holds at most one entry per (field, node), and a concurrent reader
     sees either an old or a new pair, never a mixed one, so an instance is
     safe to share across fits and threads.
@@ -533,49 +535,48 @@ def _curvature_sigma(
     return out
 
 
-def _nuisance_probes(problem: FitProblem) -> list[dict[str, float]]:
-    """Corners + center of the nuisance interval box I_ind."""
-    names, intervals = [], []
-    for name, (_val, (lo, hi)) in problem.fixed.items():
-        names.append(name)
-        intervals.append((lo, hi))
-    center = {n: 0.5 * (lo + hi) for n, (lo, hi) in zip(names, intervals)}
-    probes = [center]
-    live = [(n, iv) for n, iv in zip(names, intervals) if iv[0] < iv[1]]
-    if live:
-        for corner in itertools.product(*[(iv[0], iv[1]) for _, iv in live]):
-            p = dict(center)
-            p.update({n: v for (n, _), v in zip(live, corner)})
-            probes.append(p)
-    return probes
+def _accepted(
+    problem: FitProblem, vals, epsilon_scale: float, grid_points: int
+) -> np.ndarray:
+    """Whether some nuisance value brings every record strictly within ε.
 
-
-def _accepted(problem: FitProblem, vals, epsilon_scale: float) -> np.ndarray:
-    """Whether some nuisance probe brings every point within ε of the data.
-
-    `vals` are broadcastable values of the free parameters.  Probes that
-    share their (τ_e, θ_e) values share one `unit_rates` evaluation, which
-    each scales by its own b₀²; the per-probe masks are OR-reduced.
+    `vals` are broadcastable values of the free parameters.  With rates u per
+    unit b₀², |e − b₀² u| < ε holds at every record for b₀² in
+    (max_k (e_k − ε_k)/u_k, min_k (e_k + ε_k)/u_k); a point is accepted when
+    that meets [b_min, b_max] of the (d_nv, h, n_e) box.  A τ_e or θ_e fixed
+    on an interval enters u non-linearly, so it is sampled at the sweep's
+    grid nodes inside it and at both edges, on a trailing axis of the one
+    `unit_rates` call.
     """
-    field_idx = problem._field_indices()
+    params = dict(zip(problem.free, vals))
+    sampled = [name for name in ("tau_e", "theta_e") if name not in params]
+    pad = (1,) * len(sampled)
+    params = {name: np.reshape(v, np.shape(v) + pad) for name, v in params.items()}
+    for k, name in enumerate(sampled):
+        lo, hi = problem.fixed[name][1]
+        grid = _param_grid(problem, name, grid_points)
+        nodes = np.unique(np.concatenate([[lo, hi], grid[(lo < grid) & (grid < hi)]]))
+        params[name] = nodes.reshape((-1,) + pad[k + 1 :])
     exp, sig = problem.data.delta_gammas()
     eps = epsilon_scale * sig
-    groups: dict[tuple, list[dict]] = {}
-    for probe in _nuisance_probes(problem):
-        params = {**dict(zip(problem.free, vals)), **probe}
-        key = tuple(probe.get(name) for name in ("tau_e", "theta_e"))
-        groups.setdefault(key, []).append(params)
-    ok = False
-    for members in groups.values():
-        unit = problem.model.unit_rates(
-            _value(problem, members[0], "tau_e"),
-            _value(problem, members[0], "theta_e"),
-            field_idx,
-        )
-        for params in members:
-            th = np.asarray(_b0_sq(problem, params))[..., None] * unit
-            ok = ok | np.all(np.abs(exp - th) < eps, axis=-1)
-    return ok
+    unit = problem.model.unit_rates(
+        params["tau_e"], params["theta_e"], problem._field_indices()
+    )
+    low = np.max((exp - eps) / unit, axis=-1)
+    high = np.min((exp + eps) / unit, axis=-1)
+    # b₀² falls as d_nv grows and rises with h and n_e, so its extremes over
+    # the box sit at two opposite corners: ends[n] = (n at b_min, n at b_max).
+    # A free d_nv in `params` overrides its ends.
+    ends = {
+        n: problem.fixed[n][1][:: -1 if n == "d_nv" else 1]
+        for n in ("d_nv", "h", "n_e")
+        if n in problem.fixed
+    }
+    b_min, b_max = (
+        _b0_sq(problem, {n: e[i] for n, e in ends.items()} | params) for i in (0, 1)
+    )
+    ok = (low < high) & (low < b_max) & (b_min < high)
+    return np.any(ok, axis=tuple(range(-len(sampled), 0)))
 
 
 def confidence_region(
@@ -584,18 +585,20 @@ def confidence_region(
     epsilon_scale: float = 1.0,
     grid_points: int = DEFAULT_GRID,
 ) -> dict[str, list[tuple[float, float]]]:
-    """Accepted set {λ : ∃ λ_ind probe with |ΔΓ₁^exp − ΔΓ₁^th| < ε everywhere}.
+    """Accepted set {λ : ∃ λ_ind in the box with |ΔΓ₁^exp − ΔΓ₁^th| < ε everywhere}.
 
-    ε per point is epsilon_scale × the experimental σ.  Returns
-    per-free-parameter lists of accepted intervals (grid-run bounded,
-    possibly disconnected).
+    ε per point is epsilon_scale × the experimental σ; `_accepted` tests the
+    (d_nv, h, n_e) box in closed form and samples a fixed τ_e or θ_e
+    interval.  Returns per-free-parameter lists of accepted intervals
+    (grid-run bounded, possibly disconnected).
     """
     free = problem.free
     grids = [_param_grid(problem, name, grid_points) for name in free]
     mesh = np.meshgrid(*grids, indexing="ij", sparse=True)
-    accepted = _accepted(problem, mesh, epsilon_scale)
+    accepted = _accepted(problem, mesh, epsilon_scale, grid_points)
     # always test the fitted minimizer itself (it may sit off-grid)
-    best_ok = bool(_accepted(problem, [result.best[n] for n in free], epsilon_scale))
+    best = [result.best[n] for n in free]
+    best_ok = bool(_accepted(problem, best, epsilon_scale, grid_points))
 
     out: dict[str, list[tuple[float, float]]] = {}
     for k, name in enumerate(free):
@@ -615,16 +618,20 @@ def confidence_region(
     return out
 
 
-def estimate_depth(problem: FitProblem, grid_points: int = DEFAULT_GRID) -> FitResult:
+def estimate_depth(
+    problem: FitProblem, grid_points: int = DEFAULT_GRID, epsilon_scale: float = 1.0
+) -> FitResult:
     """Depth pipeline: fit with free = {d_nv, theta_e} and fixed tau_e.
 
-    Returns the FitResult with confidence intervals attached (the d_nv
-    entry is the depth interval).
+    Returns the FitResult with confidence intervals at `epsilon_scale`
+    attached (the d_nv entry is the depth interval).
     """
     if set(problem.free) != {"d_nv", "theta_e"}:
         raise ValueError("estimate_depth requires free = {d_nv, theta_e}")
     if "tau_e" not in problem.fixed:
         raise ValueError("estimate_depth requires fixed tau_e")
     result = fit(problem, grid_points=grid_points)
-    conf = confidence_region(problem, result, grid_points=grid_points)
+    conf = confidence_region(
+        problem, result, epsilon_scale=epsilon_scale, grid_points=grid_points
+    )
     return replace(result, confidence=conf)

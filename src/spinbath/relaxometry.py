@@ -340,7 +340,7 @@ def fit_spin_lattice(
             ]
             try:
                 sol = least_squares(resid, p0, method="trf")
-            except Exception:
+            except ValueError:
                 continue
             if best is None or sol.cost < best.cost:
                 best = sol

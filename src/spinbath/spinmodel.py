@@ -38,10 +38,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import HBAR, MU_B
-from .errors import DimensionError, SpectrumError
+from .errors import SpectrumError
 
 DEFAULT_ETA_FLOOR = 1e-12
-DEFAULT_DIM_CAP = 4096
 # Transitions between states closer than this (rad/s) count as degenerate
 # and are folded into the static bin together with the diagonal pairs.
 DEGENERACY_FLOOR = 2.0 * np.pi * 1.0
@@ -294,24 +293,13 @@ def _assemble_hamiltonian(
     return h
 
 
-def _check_dimension(spec: SpinSystemSpec, dim_cap: int) -> int:
-    dim = spec.hilbert_dimension()
-    if dim > dim_cap:
-        raise DimensionError(
-            f"Hilbert dimension {dim} exceeds cap {dim_cap}; "
-            "check nuclear spin counts"
-        )
-    return dim
-
-
-def build_hamiltonian(spec: SpinSystemSpec, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
     """Dense real symmetric Hamiltonian in rad/s: electron Zeeman plus S.A.I.
 
     The full product space of Cu and every nitrogen, in the site order of
     `_lab_hyperfine_tensors`; `transition_spectrum` diagonalizes the same H
     block by block instead (see `_block_site_lists`).
     """
-    _check_dimension(spec, dim_cap)
     return _assemble_hamiltonian(spec, _lab_hyperfine_tensors(spec))
 
 
@@ -341,7 +329,6 @@ def _block_site_lists(spec: SpinSystemSpec) -> list[list[tuple[float, np.ndarray
 def transition_spectrum(
     spec: SpinSystemSpec,
     eta_floor: float = DEFAULT_ETA_FLOOR,
-    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> IsotopeSpectrum:
     """Diagonalize the spin Hamiltonian and list (omega_ij, eta_ij) pairs.
 
@@ -359,7 +346,7 @@ def transition_spectrum(
     with eta below `eta_floor` are pruned (their weight is tallied so the
     trace identity can still be audited).
     """
-    m_states = _check_dimension(spec, dim_cap) // 2
+    m_states = spec.hilbert_dimension() // 2
     omegas, etas = [], []
     eta_sum_all = eta_static = eta_pruned = 0.0
     for sites in _block_site_lists(spec):
@@ -404,7 +391,6 @@ def isotope_family_spectrum(
     spec: SpinSystemSpec,
     isotopes: tuple[Isotope, ...] = CU_ISOTOPES,
     eta_floor: float = DEFAULT_ETA_FLOOR,
-    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> TransitionSpectrum:
     """Transition spectra for every isotope in the table, abundance-weighted.
 
@@ -412,7 +398,7 @@ def isotope_family_spectrum(
     own hyperfine scale factor on top.
     """
     components = tuple(
-        transition_spectrum(spec.with_isotope(iso), eta_floor=eta_floor, dim_cap=dim_cap)
+        transition_spectrum(spec.with_isotope(iso), eta_floor=eta_floor)
         for iso in isotopes
     )
     return TransitionSpectrum(components=components)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from spinbath.bathspectrum import coupling_b0_sq, geometry_factors
@@ -442,19 +444,72 @@ def landscape_loop(problem, grids):
     return obj
 
 
-def accepted_loop(problem, grids, epsilon_scale):
-    """Confidence acceptance one grid point and one nuisance probe at a time."""
-    from spinbath.estimator import _model_prediction, _nuisance_probes
+def _box_b0_sq_range(problem, params, n=5):
+    """Smallest and largest b₀² on an n³ mesh of the (d_nv, h, n_e) box.
+
+    The mesh holds the box's corners, but the range is read off the mesh
+    values, not off the corners the monotonicity of b₀² points to.
+    """
+    from spinbath.bathspectrum import slab_b0_sq
+
+    axes = []
+    for name in ("d_nv", "h", "n_e"):
+        if name in params:
+            lo = hi = params[name]
+        elif name in problem.fixed:
+            lo, hi = problem.fixed[name][1]
+        else:
+            lo = hi = problem.fixed_value(name)
+        axes.append(np.linspace(lo, hi, n))
+    b0 = slab_b0_sq(*np.meshgrid(*axes, indexing="ij"), gamma_e=problem.model.nv.gamma_e)
+    return float(b0.min()), float(b0.max())
+
+
+def _kinks(exp, eps, unit):
+    """b₀² where max_k |e_k − b₀² u_k| / ε_k can turn: zeros and crossings."""
+    a, c = exp / eps, unit / eps
+    out = [exp / unit]
+    for sign in (1.0, -1.0):
+        num = a[:, None] - sign * a[None, :]
+        den = c[:, None] - sign * c[None, :]
+        out.append(num[den != 0] / den[den != 0])
+    return np.concatenate(out)
+
+
+def accepted_loop(problem, grids, epsilon_scale, grid_points, n_sweep=2001):
+    """Confidence acceptance one grid point and one τ_e/θ_e sample at a time.
+
+    b₀² sweeps the box's range (`_box_b0_sq_range`) at `n_sweep` values plus
+    the kinks of the worst record's |e − b₀² u| / ε inside it, where that
+    piecewise-linear, convex function takes its minimum; so a window
+    narrower than the sweep step is not missed.  A point is accepted when
+    one value brings every record strictly within ε.  A τ_e or θ_e fixed on
+    an interval is sampled at the `grid_points` grid nodes inside it and at
+    both edges.
+    """
+    from spinbath.estimator import _param_grid
 
     field_idx = problem._field_indices()
     exp, sig = problem.data.delta_gammas()
     eps = epsilon_scale * sig
+    samples = {}
+    for name in ("tau_e", "theta_e"):
+        if name in problem.free:
+            continue
+        lo, hi = problem.fixed[name][1]
+        grid = _param_grid(problem, name, grid_points)
+        samples[name] = sorted({lo, hi, *(float(g) for g in grid if lo < g < hi)})
     accepted = np.zeros(tuple(g.size for g in grids), dtype=bool)
     for idx, vals in _grid_points(grids):
-        for probe in _nuisance_probes(problem):
-            params = {**dict(zip(problem.free, vals)), **probe}
-            th = _model_prediction(problem, params, field_idx)
-            if np.all(np.abs(exp - th) < eps):
+        params = dict(zip(problem.free, vals))
+        b_lo, b_hi = _box_b0_sq_range(problem, params)
+        sweep = np.linspace(b_lo, b_hi, n_sweep)
+        for combo in itertools.product(*samples.values()):
+            params.update(zip(samples, combo))
+            unit = problem.model.unit_rates(params["tau_e"], params["theta_e"], field_idx)
+            kinks = _kinks(exp, eps, unit)
+            b0 = np.concatenate([sweep, kinks[(b_lo <= kinks) & (kinks <= b_hi)]])
+            if np.any(np.all(np.abs(exp - b0[:, None] * unit) < eps, axis=-1)):
                 accepted[idx] = True
                 break
     return accepted

@@ -343,14 +343,14 @@ def test_criterion_08_theta_identifiability_windows(
     forward_model_4f, shipped_config, geometry
 ):
     """Detuned-only data leaves theta open (> 60 deg); adding the
-    theta-sensitive fields closes it (< 20 deg); the crossing-adjacent
-    field alone is ambiguous (>= 2 minima)."""
+    theta-sensitive fields closes it (< 20 deg) around the truth; the
+    crossing-adjacent field alone is ambiguous (>= 2 minima)."""
     cfg = shipped_config
     theta = _theta_truth(cfg)
     fixed_live = dict(cfg.nuisance_intervals())
     boxes = {"tau_e": (0.9e-9, 3.1e-9)}
 
-    def region_span(fields, seed) -> float:
+    def theta_region(fields, seed) -> dict:
         rng = np.random.default_rng(seed)
         records = synth_records(
             forward_model_4f, geometry, TAU_TRUTH, theta, rng, noise=0.05,
@@ -365,13 +365,15 @@ def test_criterion_08_theta_identifiability_windows(
             boxes=boxes,
         )
         result = fit(problem, grid_points=24)
-        region = confidence_region(
-            problem, result, epsilon_scale=2.0, grid_points=40
-        )
-        return _theta_span_deg(region)
+        return confidence_region(problem, result, epsilon_scale=2.0, grid_points=40)
 
-    span_detuned = region_span((231.0, 721.0), seed=81)
-    span_inclusive = region_span(FIELDS_GAUSS, seed=82)
+    span_detuned = _theta_span_deg(theta_region((231.0, 721.0), seed=81))
+    inclusive = theta_region(FIELDS_GAUSS, seed=82)
+    span_inclusive = _theta_span_deg(inclusive)
+    runs_deg = ", ".join(
+        f"[{math.degrees(lo):.2f}, {math.degrees(hi):.2f}]"
+        for lo, hi in inclusive["theta_e"]
+    )
 
     rng = np.random.default_rng(83)
     records = synth_records(
@@ -391,12 +393,13 @@ def test_criterion_08_theta_identifiability_windows(
     minima_deg = sorted(math.degrees(p["theta_e"]) for p, _ in result.minima)
     print(
         f"[C08] theta 95% span: detuned fields {span_detuned:.1f} deg (> 60), "
-        f"all four fields {span_inclusive:.1f} deg (< 20); crossing-adjacent "
-        f"field alone: {result.n_minima} minima at "
+        f"all four fields {span_inclusive:.1f} deg (< 20) in {runs_deg} deg; "
+        f"crossing-adjacent field alone: {result.n_minima} minima at "
         f"{', '.join(f'{m:.1f}' for m in minima_deg)} deg"
     )
     assert span_detuned > 60.0
     assert span_inclusive < 20.0
+    assert any(lo <= theta <= hi for lo, hi in inclusive["theta_e"])
     assert result.n_minima >= 2
 
 

@@ -534,3 +534,27 @@ def test_fit_bytes_same_on_one_and_two_threads(tmp_path, small_model, geometry):
             [(out / name).read_bytes() for name in ("fit.json", "fit_landscape.csv")]
         )
     assert outputs[0] == outputs[1]
+
+
+def test_depth_reads_epsilon_scale(tmp_path, small_model, geometry):
+    """fit.epsilon_scale widens the depth interval of `depth`, as of `fit`."""
+    rng = np.random.default_rng(31)
+    records = synth_records(small_model, geometry, 2e-9, 0.75, rng, noise=0.03)
+    data = tmp_path / "t1.csv"
+    records_to_csv(records, data)
+    tree = yaml.safe_load(CONFIG_PATH.read_text())
+    tree["fit"]["theta_step_deg"] = 15.0
+    widths = []
+    for scale in (1.0, 3.0):
+        tree["fit"]["epsilon_scale"] = scale
+        config = tmp_path / f"eps-{scale}.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        out = tmp_path / f"out-{scale}"
+        code = run_cli(
+            "depth", "--config", config, "--out", out, "--data", data, "--grid", "24"
+        )
+        assert code == EXIT_OK
+        (row,) = json.loads((out / "depth.json").read_text())["per_nv"]
+        lo, hi = row["d_t1_interval_nm"]
+        widths.append(hi - lo)
+    assert widths[1] > widths[0]

@@ -445,6 +445,40 @@ class TestConfidenceRegion:
         assert width(3.0) >= width(1.0)
 
 
+class TestCoverage:
+    """Noise-free data are accepted at the truth across the nuisance box."""
+
+    @pytest.mark.parametrize("d_nv_nm", [6.0, 6.5, 7.0, 7.5, 8.0])
+    def test_truth_accepted_across_depth_interval(
+        self, d_nv_nm, small_model, geometry, nuisance_fixed
+    ):
+        """b₀² at any depth in [6, 8] nm lies in the box's b₀² interval."""
+        free = ("tau_e", "theta_e")
+        records = synth_records(
+            small_model, geometry, 2e-9, 0.75, np.random.default_rng(0), noise=0.0,
+            d_nv=d_nv_nm * 1e-9,
+        )
+        problem = make_problem(records, small_model, geometry, free, nuisance_fixed(free))
+        assert estimator._accepted(problem, [2e-9, 0.75], 1.0, estimator.DEFAULT_GRID)
+
+    @pytest.mark.parametrize("tau_ns", [1.2, 1.45, 2.55])
+    def test_truth_accepted_between_tau_samples(
+        self, tau_ns, small_model, geometry, nuisance_fixed
+    ):
+        """A τ_e between the grid nodes of its interval is still accepted.
+
+        The 64-point τ grid steps by 11.6 % inside [0.9, 3.1] ns; the b₀²
+        freedom of the (h, n_e) box absorbs the rate change of half a step.
+        """
+        free = ("d_nv", "theta_e")
+        records = synth_records(
+            small_model, geometry, tau_ns * 1e-9, 0.75, np.random.default_rng(0),
+            noise=0.0, d_nv=7e-9,
+        )
+        problem = make_problem(records, small_model, geometry, free, nuisance_fixed(free))
+        assert estimator._accepted(problem, [7e-9, 0.75], 1.0, estimator.DEFAULT_GRID)
+
+
 class TestEstimateDepth:
     def test_requires_depth_parameterization(
         self, small_model, shipped_config, geometry
@@ -548,27 +582,31 @@ class TestVectorizedAgainstLoops:
         assert sums == [4, 4, 2]
 
     @pytest.mark.parametrize(
-        "free, groups", [(("tau_e", "theta_e"), 1), (("d_nv", "theta_e"), 3)]
+        "free, n_tau", [(("tau_e", "theta_e"), 6), (("d_nv", "theta_e"), 13)]
     )
-    def test_probes_share_rates_by_tau_theta(
-        self, free, groups, small_model, geometry, nuisance_fixed, monkeypatch
+    def test_acceptance_is_one_unit_rates_call(
+        self, free, n_tau, small_model, geometry, nuisance_fixed, monkeypatch
     ):
-        """One unit_rates call per distinct (τ_e, θ_e) among the 9 probes."""
+        """A mesh is tested with one unit_rates call, whatever the nuisances.
+
+        A fixed τ_e on [0.9, 3.1] ns is sampled at the 11 nodes of the
+        64-point τ grid inside it plus both edges: 13 values on one axis.
+        """
         rng = np.random.default_rng(29)
         records = synth_records(small_model, geometry, 2e-9, 0.75, rng, noise=0.02)
         problem = make_problem(records, small_model, geometry, free, nuisance_fixed(free))
-        assert len(estimator._nuisance_probes(problem)) == 9
-        calls = []
+        taus = []
         unit_rates = small_model.unit_rates
 
         def spy(tau, theta, fields=None):
-            calls.append(1)
+            taus.append(np.unique(tau).size)
             return unit_rates(tau, theta, fields)
 
         monkeypatch.setattr(small_model, "unit_rates", spy)
         grids = [estimator._param_grid(problem, n, 6) for n in free]
-        estimator._accepted(problem, np.meshgrid(*grids, indexing="ij", sparse=True), 1.0)
-        assert len(calls) == groups
+        mesh = np.meshgrid(*grids, indexing="ij", sparse=True)
+        estimator._accepted(problem, mesh, 1.0, estimator.DEFAULT_GRID)
+        assert taus == [n_tau]
 
     @pytest.mark.parametrize(
         "free", [("tau_e", "theta_e"), ("d_nv", "theta_e"), ("tau_e",)]
@@ -587,10 +625,14 @@ class TestVectorizedAgainstLoops:
         want = landscape_loop(problem, grids)
         np.testing.assert_allclose(obj, want, rtol=1e-12, atol=0)
         mesh = np.meshgrid(*grids, indexing="ij", sparse=True)
+        n = grids[0].size
         for scale in (1.0, 4.0):
-            mask = accepted_loop(problem, grids, scale)
-            got = estimator._accepted(problem, mesh, scale)
-            np.testing.assert_array_equal(got, mask)
+            mask = accepted_loop(problem, grids, scale, n)
+            got = estimator._accepted(problem, mesh, scale, n)
+            # every point the b₀² sweep accepts passes the closed form ...
+            assert not np.any(mask & ~got)
+            # ... and every point the closed form accepts has a witness b₀²
+            assert not np.any(got & ~mask)
         # the wide window accepts some points and rejects others
         assert mask.any() and not mask.all()
 

@@ -322,6 +322,18 @@ class TestSpinLattice:
         with pytest.raises(ValueError):
             spin_lattice_rate(0.0, self.TRUTH)
 
+    def test_fit_error_outside_value_error_surfaces(self, monkeypatch):
+        """Only ValueError (LinAlgError, non-finite residuals) skips a start."""
+        t = np.geomspace(2.0, 100.0, 40)
+        r = spin_lattice_rate(t, self.TRUTH)
+
+        def broken(*args):
+            raise ZeroDivisionError("bug in the rate model")
+
+        monkeypatch.setattr(relaxometry, "spin_lattice_rate", broken)
+        with pytest.raises(ZeroDivisionError):
+            fit_spin_lattice(t, r)
+
     def test_room_temperature_background_is_consumed_constant(self):
         """The 1/38 ns^-1 room-T depolarization enters as a fixed input."""
         from spinbath.eesolver import BACKGROUND_RATE_ROOM_T

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinbath.constants import G_E, GAMMA_E, GAUSS_TO_TESLA, TWO_PI
-from spinbath.errors import DimensionError
 from spinbath.spinmodel import (
     CU_ISOTOPES,
     CU_TENSOR,
@@ -78,10 +77,6 @@ class TestHamiltonian:
         h = build_hamiltonian(default_spec())
         assert h.dtype == np.float64
         assert np.allclose(h, h.T)
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionError):
-            build_hamiltonian(default_spec(), dim_cap=100)
 
     def test_free_electron_splitting(self):
         """Zeroed hyperfine: all transition weight sits at +/- gamma B."""
