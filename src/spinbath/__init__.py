@@ -56,12 +56,10 @@ _EXPORTS = {
     "LatticeModel": "eesolver",
     "TauSolveReport": "eesolver",
     "pair_geometry": "eesolver",
-    "pair_spectral_density": "eesolver",
     "solve_tau_self_consistent": "eesolver",
     "no_hyperfine_tau": "eesolver",
     "delta_approx_tau": "eesolver",
     "coincidence_weight": "eesolver",
-    "total_correlation_rate": "eesolver",
     # config / io
     "ToolkitConfig": "config",
     "load_config": "config",

@@ -16,7 +16,7 @@ built from Lorentzians of width 1/tau_e at every transition frequency.
 Both sum over `TransitionSpectrum.binned`: the isotopes merged by
 abundance and the lines merged into 1 MHz bins without losing weight.
 `_lorentzian` and `_cosine_sum` are the line-sum kernels; `eesolver` uses
-them too.
+`_cosine_sum` too.
 """
 
 from __future__ import annotations

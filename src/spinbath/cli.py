@@ -581,10 +581,16 @@ def cmd_depth(run: _Run) -> int:
 
 
 def cmd_decay_fit(run: _Run) -> int:
+    from .errors import DataFormatError
     from .io import load_decay_curve
-    from .relaxometry import fit_decay
+    from .relaxometry import MIN_DECAY_SAMPLES, fit_decay
 
     curve = load_decay_curve(run.track_input(run.args.data))
+    if len(curve) < MIN_DECAY_SAMPLES:
+        raise DataFormatError(
+            f"{run.args.data}: a decay fit needs at least {MIN_DECAY_SAMPLES} "
+            f"samples, got {len(curve)}"
+        )
     result = fit_decay(curve)
     payload = result.as_dict()
     payload["T1_us"] = result.t1 * 1e6

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bathspectrum import S_SPIN_FACTOR, _cosine_sum, _lorentzian
+from .bathspectrum import S_SPIN_FACTOR, _cosine_sum
 from .constants import GAMMA_E, HBAR, MU_0
 from .errors import ConvergenceError
 from .spinmodel import TransitionSpectrum
@@ -39,7 +39,7 @@ from .spinmodel import TransitionSpectrum
 DEFAULT_COINCIDENCE_BIN = 2.0 * np.pi * 10e3
 
 #: Background (spin-lattice + electron-nuclear) rate at room temperature,
-#: the 1/38 ns^-1 extrapolation consumed by the total-rate composition.
+#: the 1/38 ns^-1 extrapolation the paper takes as a fixed input.
 BACKGROUND_RATE_ROOM_T = 1.0 / 38e-9
 
 #: Time-grid resolution: points per period of the fastest spectral line.
@@ -198,33 +198,6 @@ def dipolar_coupling(
         / (4.0 * np.pi)
         / np.asarray(r) ** 3
     )
-
-
-def pair_spectral_density(
-    pair: tuple[float, float],
-    tau_e: float,
-    spectrum: TransitionSpectrum,
-    omega: float,
-    gamma_e: float = GAMMA_E,
-) -> float:
-    """S_{n,m}(omega) of one neighbour pair, in tesla^2 s.
-
-    prefactor * { (9/2) sin^2(2 Theta) L(omega)
-                  + F(Theta) sum_l w_l [L(omega_l - omega) + L(omega_l + omega)] }
-    with L(x) = tau_e / (x^2 tau_e^2 + 1), over the binned lines
-    (omega_l, w_l) of `TransitionSpectrum.binned`.
-    """
-    r, theta = pair
-    if r <= 0:
-        raise ValueError("pair distance must be > 0")
-    if tau_e <= 0:
-        raise ValueError("tau_e must be > 0")
-    qs = quasi_static_factor(theta) * _lorentzian(omega, tau_e)
-    lines, weight = spectrum.binned()
-    ff_sum = float(
-        (_lorentzian(lines - omega, tau_e) + _lorentzian(lines + omega, tau_e)) @ weight
-    )
-    return float(dipolar_prefactor(r, gamma_e) * (qs + flip_flop_factor(theta) * ff_sum))
 
 
 class _OverlapIntegrator:
@@ -406,14 +379,3 @@ def delta_approx_tau(
         return float("inf")
     return no_hyperfine_tau(lattice, gamma_e) / np.sqrt(w_hat)
 
-
-def total_correlation_rate(
-    r_sl: float, r_en: float = 0.0, r_ee: float = 0.0
-) -> float:
-    """1/tau_e as the sum of spin-lattice, electron-nuclear and
-    electron-electron rates.  The room-temperature spin-lattice +
-    electron-nuclear bundle is `BACKGROUND_RATE_ROOM_T` (1/38 ns^-1)."""
-    rates = (r_sl, r_en, r_ee)
-    if any(r < 0 for r in rates):
-        raise ValueError("rates must be >= 0")
-    return float(sum(rates))

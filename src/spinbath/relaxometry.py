@@ -9,10 +9,11 @@ rate, and the film-induced change of rate
     delta_gamma = 1/T1|_film - 1/T1|_free
 
 is the observable every fit consumes.  Raw T1 curves are reduced with the
-stretched-exponential model y = A exp[-(t/T1)^iota] + C, fitted with its
-analytic Jacobian (`_stretched_exp_jac`), and the temperature dependence
-of the molecular spin-lattice rate is modeled by one- and two-phonon Bose
-factors.
+stretched-exponential model y = A exp[-(t/T1)^iota] + C: A and C are
+solved exactly on a (T1, iota) grid, and the best grid point is polished
+by one TRF run with the analytic Jacobian (`_stretched_exp_jac`).  The
+temperature dependence of the molecular spin-lattice rate is modeled by
+one- and two-phonon Bose factors.
 """
 
 from __future__ import annotations
@@ -111,6 +112,24 @@ def delta_gamma(rec: T1Record) -> tuple[float, float]:
 #: Box constraint on the stretching exponent iota.
 IOTA_BOUNDS = (0.3, 2.0)
 
+#: (T1, iota) grid of `fit_decay`'s starts; T1 log-spaced, iota linear.
+_GRID_T1 = 48
+_GRID_IOTA = 12
+
+#: Largest (T1, iota, t) work array of the grid, in elements.
+_GRID_CHUNK = 1 << 16
+
+#: Most TRF polishes `fit_decay` tries before giving up.
+_MAX_POLISHES = 9
+
+#: TRF's ftol and xtol for the polish.  SciPy's 1e-8 stops one run up to
+#: ~4e-8 above the lowest cost in flat (T1, iota) valleys; 1e-10 costs
+#: about one more residual evaluation per fit.
+_POLISH_TOL = 1e-10
+
+#: Fewest samples a decay fit accepts: 4 parameters plus 2 degrees of freedom.
+MIN_DECAY_SAMPLES = 6
+
 
 @dataclass(frozen=True)
 class DecayCurve:
@@ -186,20 +205,62 @@ def _stretched_exp_jac(t: np.ndarray, a: float, t1: float, iota: float, c: float
     return np.stack([e, aex * (iota / t1), -aex * np.log(ratio), np.ones_like(t)], axis=1)
 
 
-def fit_decay(curve: DecayCurve) -> DecayFitResult:
-    """Weighted multi-start least-squares fit of the stretched exponential.
+def _grid_starts(t, y, sig, lo, hi) -> np.ndarray:
+    """(A, T1, iota, C) at the `_MAX_POLISHES` cheapest grid points, cheapest first.
 
-    TRF gets the analytic Jacobian of the weighted residual, and the
-    parameter covariance comes from that Jacobian at the solution.  Raises
-    UnidentifiableError when the curve is constant within noise (A
-    unidentifiable) and ConvergenceError when no start converges.
+    T1 is log-spaced over [lo, hi] and iota spans `IOTA_BOUNDS`.  A and C
+    enter the model linearly, so at each grid point they come from the
+    weighted 2x2 normal equations, clipped to their bounds.  Points where
+    exp[-(t/T1)^iota] is constant over the samples leave the equations
+    singular and are dropped.  The T1 axis is taken in chunks of at most
+    `_GRID_CHUNK` (T1, iota, t) elements, so memory stays O(t.size).
+    """
+    t1_grid = np.geomspace(lo[1], hi[1], _GRID_T1)
+    iota_grid = np.linspace(*IOTA_BOUNDS, _GRID_IOTA)
+    w = sig**-2.0
+    s1, sy = w.sum(), w @ y
+    log_t = np.log(t)
+    rows = max(1, _GRID_CHUNK // (_GRID_IOTA * t.size))
+    a, c, cost = (np.empty((_GRID_T1, _GRID_IOTA)) for _ in range(3))
+    for k in range(0, _GRID_T1, rows):
+        log_ratio = log_t - np.log(t1_grid[k : k + rows, None, None])
+        e = np.exp(-np.exp(iota_grid[:, None] * log_ratio))
+        se, see, sey = e @ w, (e * e) @ w, e @ (w * y)
+        det = s1 * see - se * se
+        ok = det > 1e-12 * s1 * see
+        a_k = np.divide(s1 * sey - se * sy, det, out=np.zeros_like(det), where=ok)
+        c_k = np.divide(see * sy - se * sey, det, out=np.zeros_like(det), where=ok)
+        a_k, c_k = np.clip(a_k, lo[0], hi[0]), np.clip(c_k, lo[3], hi[3])
+        r = a_k[..., None] * e + c_k[..., None] - y
+        a[k : k + rows], c[k : k + rows] = a_k, c_k
+        cost[k : k + rows] = np.where(ok, (r * r) @ w, np.inf)
+    order = np.argsort(cost, axis=None, kind="stable")[:_MAX_POLISHES]
+    i, j = np.unravel_index(order[np.isfinite(cost.flat[order])], cost.shape)
+    return np.stack([a[i, j], t1_grid[i], iota_grid[j], c[i, j]], axis=1)
+
+
+def fit_decay(curve: DecayCurve) -> DecayFitResult:
+    """Weighted least-squares fit of the stretched exponential.
+
+    A and C enter the model linearly, so for any fixed (T1, iota) they
+    are solved exactly (variable projection).  `_grid_starts` does that
+    on a 48 x 12 grid over the T1 and iota bounds and ranks the points by
+    weighted cost.  The best point is polished by one bounded TRF run on
+    all four parameters with the analytic Jacobian of the weighted
+    residual; the next points are tried, up to 9 in all, only when a
+    polish raises ValueError or does not converge.  The covariance comes
+    from the Jacobian at the solution.  Raises UnidentifiableError when
+    the curve is constant within noise (A unidentifiable) and
+    ConvergenceError when no polish converges.
     """
     # imported here, not at module level: spectrum, t1 and tau-ee load this
     # module and never fit, and SciPy would be most of their start-up time
     from scipy.optimize import least_squares
 
-    if len(curve) < 6:
-        raise ValueError("need at least 6 samples to fit 4 parameters")
+    if len(curve) < MIN_DECAY_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_DECAY_SAMPLES} samples to fit 4 parameters"
+        )
     t, y, sig = curve.t, curve.y, curve.sigma
     if t[0] <= 0:
         # (t/T1)^iota needs t > 0; nudge a leading zero sample
@@ -212,9 +273,6 @@ def fit_decay(curve: DecayCurve) -> DecayFitResult:
             "decay amplitude is zero within noise; T1 and iota are unconstrained"
         )
 
-    a0 = y[0] - y[-1]
-    c0 = y[-1]
-    t25, t50, t75 = np.quantile(t, [0.25, 0.5, 0.75])
     lo = [-10 * abs(span) - 1e-12, t[0] / 100.0, IOTA_BOUNDS[0], np.min(y) - span - 1e-9]
     hi = [10 * abs(span) + 1e-12, t[-1] * 100.0, IOTA_BOUNDS[1], np.max(y) + span + 1e-9]
 
@@ -224,19 +282,17 @@ def fit_decay(curve: DecayCurve) -> DecayFitResult:
     def jac(p):
         return _stretched_exp_jac(t, *p) / sig[:, None]
 
-    best = None
-    for t1_start in (t25, t50, t75):
-        for iota_start in (0.7, 1.0, 1.5):
-            p0 = np.clip([a0, t1_start, iota_start, c0], lo, hi)
-            try:
-                sol = least_squares(resid, p0, jac=jac, bounds=(lo, hi), method="trf")
-            except ValueError:  # LinAlgError and non-finite residuals; not bugs
-                continue
-            if not sol.success:
-                continue
-            if best is None or sol.cost < best.cost:
-                best = sol
-    if best is None:
+    for p0 in _grid_starts(t, y, sig, lo, hi):
+        try:
+            best = least_squares(
+                resid, p0, jac=jac, bounds=(lo, hi), method="trf",
+                ftol=_POLISH_TOL, xtol=_POLISH_TOL,
+            )
+        except ValueError:  # LinAlgError and non-finite residuals; not bugs
+            continue
+        if best.success:
+            break
+    else:
         raise ConvergenceError(
             "stretched-exponential fit failed from every start; "
             "data may not be a monotone decay"

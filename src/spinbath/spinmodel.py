@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -156,6 +156,8 @@ class TransitionSpectrum:
     """Abundance-weighted family of isotope spectra."""
 
     components: tuple[IsotopeSpectrum, ...]
+    # binned() results by bin width
+    _binned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         total = sum(c.isotope.abundance for c in self.components)
@@ -178,7 +180,13 @@ class TransitionSpectrum:
         runs and are summed in place.  The short per-component bin lists
         are then merged by a stable sort on k, which also joins the repeated
         runs of a component that is not sorted.
+
+        Each bin width is binned once per spectrum: the read-only result is
+        kept and handed to every later call.
         """
+        hit = self._binned.get(bin_width)
+        if hit is not None:
+            return hit
         runs = []
         for c in self.components:
             weight = c.isotope.abundance * c.eta
@@ -187,7 +195,11 @@ class TransitionSpectrum:
         idx, weight, moment = (np.concatenate(parts) for parts in zip(*runs))
         order = np.argsort(idx, kind="stable")
         _, w_out, m_out = _sum_runs(idx[order], weight[order], moment[order])
-        return m_out / w_out, w_out
+        hit = (m_out / w_out, w_out)
+        for a in hit:
+            a.setflags(write=False)
+        self._binned[bin_width] = hit
+        return hit
 
 
 def _sum_runs(idx: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 from spinbath.bathspectrum import coupling_b0_sq, geometry_factors
+from spinbath.constants import GAMMA_E
 from spinbath.relaxometry import T1Record
 
 T1_FREE = 5.0e-3  # intrinsic film-free T1 used for all synthetic records
@@ -520,11 +521,38 @@ def accepted_loop(problem, grids, epsilon_scale, grid_points, n_sweep=2001):
 # ---------------------------------------------------------------------------
 
 
-def fit_decay_fd(curve):
-    """`fit_decay` with SciPy's default 2-point Jacobian in TRF.
+def grid_starts_loop(t, y, sig, lo, hi):
+    """`relaxometry._grid_starts` one grid point at a time, cheapest first.
 
-    The same starts, bounds and tolerances; the covariance comes from the
-    finite-difference Jacobian at the solution.
+    At each (T1, iota) the weighted fit of A e + C, e = exp[-(t/T1)^iota],
+    is solved with `np.linalg.lstsq` and clipped to the A and C bounds; a
+    point whose e is constant over the samples (rank < 2) is skipped.
+    Returns (cost, A, T1, iota, C) rows sorted by cost.
+    """
+    from spinbath.relaxometry import _GRID_IOTA, _GRID_T1, IOTA_BOUNDS
+
+    rows = []
+    for t1 in np.geomspace(lo[1], hi[1], _GRID_T1):
+        for iota in np.linspace(*IOTA_BOUNDS, _GRID_IOTA):
+            e = np.exp(-((t / t1) ** iota))
+            basis = np.stack([e, np.ones_like(e)], axis=1) / sig[:, None]
+            (a, c), _, rank, _ = np.linalg.lstsq(basis, y / sig, rcond=None)
+            if rank < 2 or np.ptp(e) == 0.0:
+                continue
+            a, c = np.clip(a, lo[0], hi[0]), np.clip(c, lo[3], hi[3])
+            cost = float(np.sum(((a * e + c - y) / sig) ** 2))
+            rows.append((cost, a, t1, iota, c))
+    return sorted(rows, key=lambda r: r[0])
+
+
+def fit_decay_fd(curve):
+    """Nine-start stretched-exponential fit with SciPy's 2-point Jacobian.
+
+    The bounds of `fit_decay`, but TRF runs from a 3 x 3 set of starts
+    (T1 at the 25/50/75 % time quantiles, iota 0.7/1.0/1.5, A and C from
+    the end points) at SciPy's default tolerances, keeping the lowest
+    cost.  The covariance comes from the finite-difference Jacobian at
+    that solution.
     """
     from scipy.optimize import least_squares
 
@@ -554,3 +582,28 @@ def fit_decay_fd(curve):
     return DecayFitResult(
         *best.x, *perr, chi2_red=2.0 * best.cost / max(len(curve) - 4, 1)
     )
+
+
+def pair_spectral_density(pair, tau_e, spectrum, omega, gamma_e=GAMMA_E) -> float:
+    """S_{n,m}(omega) of one neighbour pair, in tesla^2 s.
+
+    prefactor * { (9/2) sin^2(2 Theta) L(omega)
+                  + F(Theta) sum_l w_l [L(omega_l - omega) + L(omega_l + omega)] }
+    with L(x) = tau_e / (x^2 tau_e^2 + 1), over the binned lines
+    (omega_l, w_l) of `TransitionSpectrum.binned`: the per-pair spectral
+    density whose line-weighted sum the tau_ee fixed point equates to 1/tau.
+    """
+    from spinbath.bathspectrum import _lorentzian
+    from spinbath.eesolver import dipolar_prefactor, flip_flop_factor, quasi_static_factor
+
+    r, theta = pair
+    if r <= 0:
+        raise ValueError("pair distance must be > 0")
+    if tau_e <= 0:
+        raise ValueError("tau_e must be > 0")
+    qs = quasi_static_factor(theta) * _lorentzian(omega, tau_e)
+    lines, weight = spectrum.binned()
+    ff_sum = float(
+        (_lorentzian(lines - omega, tau_e) + _lorentzian(lines + omega, tau_e)) @ weight
+    )
+    return float(dipolar_prefactor(r, gamma_e) * (qs + flip_flop_factor(theta) * ff_sum))

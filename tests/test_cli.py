@@ -59,6 +59,31 @@ def test_spectrum_deterministic_bytes(tmp_path):
         ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args, n_fields",
+    [(("--points", "64"), 1), (("--sweep", "300,500,3"), 3)],
+)
+def test_spectrum_bins_each_field_once(args, n_fields, tmp_path, monkeypatch):
+    """S_e on the grid, S_e(omega_NV) and Gamma_1 share one binning per field.
+
+    A binning sums runs once per copper isotope and once more to merge
+    them, so it makes len(CU_ISOTOPES) + 1 `_sum_runs` calls.
+    """
+    import spinbath.spinmodel as spinmodel
+
+    calls = []
+    real = spinmodel._sum_runs
+
+    def counting(*a):
+        calls.append(1)
+        return real(*a)
+
+    monkeypatch.setattr(spinmodel, "_sum_runs", counting)
+    code = run_cli("spectrum", "--config", CONFIG_PATH, "--out", tmp_path, *args)
+    assert code == EXIT_OK
+    assert len(calls) == n_fields * (len(spinmodel.CU_ISOTOPES) + 1)
+
+
 def test_spectrum_csv_values_reingest(tmp_path):
     from spinbath.io import write_csv
 
@@ -370,6 +395,19 @@ def test_decay_fit_flat_curve_unidentifiable(tmp_path):
         "decay-fit", "--config", CONFIG_PATH, "--out", tmp_path, "--data", data
     )
     assert code == EXIT_UNIDENTIFIABLE
+
+
+def test_decay_fit_short_trace_is_data_error(tmp_path, capsys):
+    data = tmp_path / "decay.csv"
+    lines = ["t_us,signal,sigma"]
+    lines += [f"{t},{float(np.exp(-t / 2.0))!r},0.01" for t in range(1, 6)]
+    data.write_text("\n".join(lines) + "\n")
+    code = run_cli(
+        "decay-fit", "--config", CONFIG_PATH, "--out", tmp_path, "--data", data
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: {data}: a decay fit needs at least 6 samples, got 5\n"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import raw_line_tau
+from helpers import pair_spectral_density, raw_line_tau
 from spinbath.bathspectrum import electron_only_spectrum
 from spinbath.constants import GAMMA_E, GAUSS_TO_TESLA
 from spinbath.eesolver import (
-    BACKGROUND_RATE_ROOM_T,
     LatticeModel,
     coincidence_weight,
     delta_approx_tau,
@@ -15,10 +14,8 @@ from spinbath.eesolver import (
     flip_flop_factor,
     no_hyperfine_tau,
     pair_geometry,
-    pair_spectral_density,
     quasi_static_factor,
     solve_tau_self_consistent,
-    total_correlation_rate,
 )
 
 ELECTRON_SPEC = electron_only_spectrum(b_field=372.0 * GAUSS_TO_TESLA)
@@ -340,14 +337,3 @@ class TestGammaE:
             solve_tau_self_consistent(base, ELECTRON_SPEC, 1e-9, **kw).tau_e, rel=1e-2
         )
 
-
-class TestTotalRate:
-    def test_additivity_and_bundle(self):
-        assert total_correlation_rate(1.0, 2.0, 3.0) == 6.0
-        # background bundle + 1/2 ns^-1 e-e rate gives ~1.9 ns
-        tau = 1.0 / total_correlation_rate(BACKGROUND_RATE_ROOM_T, r_ee=0.5e9)
-        assert tau == pytest.approx(1.9e-9, rel=0.02)
-
-    def test_negative_rates_rejected(self):
-        with pytest.raises(ValueError):
-            total_correlation_rate(-1.0)

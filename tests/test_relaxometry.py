@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinbath.relaxometry as relaxometry
-from helpers import fit_decay_fd, golden_rule_rate_quad, lindblad_correlators
+from helpers import (
+    fit_decay_fd,
+    golden_rule_rate_quad,
+    grid_starts_loop,
+    lindblad_correlators,
+)
 from spinbath.bathspectrum import autocorrelation, geometry_factors, spectral_density
 from spinbath.constants import GAMMA_E, GAUSS_TO_TESLA, HBAR, K_B, TWO_PI
 from spinbath.errors import ConvergenceError, UnidentifiableError
@@ -236,8 +241,38 @@ class TestFitDecay:
                 y = np.exp(-t / t1) + noise * rng.standard_normal(t.size)
                 yield DecayCurve(t=t, y=y, sigma=np.full(t.size, noise))
 
+    @staticmethod
+    def wide_range_curves():
+        """Seeded traces with T1 over three decades around the sampled window.
+
+        40 samples to t_end = 1 ms, evenly spaced from 0 (even seeds) or
+        log-spaced from 1 us after a zero delay (odd seeds); T1 from
+        t_end / 100 to 10 t_end, iota across IOTA_BOUNDS, 0.2-2 % noise.
+        Traces whose decay is below 3 sigma are unidentifiable by design
+        and left out.
+        """
+        t_end = 1e-3
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 5])
+            if seed % 2:
+                t = np.concatenate([[0.0], np.geomspace(t_end / 1000, t_end, 39)])
+            else:
+                t = np.linspace(0.0, t_end, 40)
+            t1 = t_end * 10 ** rng.uniform(-2.0, 1.0)
+            iota = rng.uniform(*relaxometry.IOTA_BOUNDS)
+            a, c = rng.uniform(0.5, 1.0), rng.uniform(0.0, 0.2)
+            noise = rng.uniform(0.002, 0.02)
+            y = a * np.exp(-((t / t1) ** iota)) + c + noise * rng.standard_normal(t.size)
+            if np.ptp(y) >= 3.0 * noise:
+                yield DecayCurve(t=t, y=y, sigma=np.full(t.size, noise))
+
     def test_fit_matches_finite_difference_oracle(self):
-        """The analytic-Jacobian fit lands where the 2-point one did."""
+        """The grid-and-polish fit lands where the nine 2-point TRF runs did.
+
+        Its cost is never above theirs by more than 1e-9 relative; on the
+        wide-range traces, whose T1 and iota can sit in flat or split
+        valleys, only the cost is compared.
+        """
         curves = [self.make_curve(), *self.benchmark_style_curves()]
         for curve in curves:
             got, want = fit_decay(curve), fit_decay_fd(curve)
@@ -247,6 +282,79 @@ class TestFitDecay:
                 assert getattr(got, name) == pytest.approx(getattr(want, name), rel=2e-3)
             assert got.chi2_red == pytest.approx(want.chi2_red, rel=1e-6)
             assert abs(got.c - want.c) < 1e-3 * want.c_sigma
+            assert got.chi2_red <= want.chi2_red * (1.0 + 1e-9)
+        for curve in self.wide_range_curves():
+            got, want = fit_decay(curve), fit_decay_fd(curve)
+            assert got.chi2_red <= want.chi2_red * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("chunk", [relaxometry._GRID_CHUNK, 1])
+    def test_grid_starts_match_loop(self, monkeypatch, chunk):
+        """The broadcast grid solve ranks the points as a per-point lstsq
+        loop does, whole or one T1 row at a time, with equal or unequal sigma."""
+        monkeypatch.setattr(relaxometry, "_GRID_CHUNK", chunk)
+        base = self.make_curve()
+        uneven = DecayCurve(
+            t=base.t, y=base.y, sigma=base.sigma * np.geomspace(0.2, 5.0, len(base))
+        )
+        curves = [base, uneven, *list(self.wide_range_curves())[:4]]
+        for curve in curves:
+            t = curve.t.copy()
+            t[0] = t[0] if t[0] > 0 else t[1] * 1e-6
+            y, sig = curve.y, curve.sigma
+            span = np.ptp(y)
+            lo = [-10 * span - 1e-12, t[0] / 100, relaxometry.IOTA_BOUNDS[0], y.min() - span - 1e-9]
+            hi = [10 * span + 1e-12, t[-1] * 100, relaxometry.IOTA_BOUNDS[1], y.max() + span + 1e-9]
+            got = relaxometry._grid_starts(t, y, sig, lo, hi)
+            want = np.array(grid_starts_loop(t, y, sig, lo, hi)[: relaxometry._MAX_POLISHES])
+            np.testing.assert_allclose(got, want[:, 1:], rtol=1e-7, atol=1e-12)
+
+    def test_one_polish_per_benchmark_style_trace(self, monkeypatch):
+        """The grid's best point converges: one least_squares call per fit."""
+        import scipy.optimize
+
+        calls = []
+        real = scipy.optimize.least_squares
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", counting)
+        for curve in self.benchmark_style_curves():
+            calls.clear()
+            fit_decay(curve)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("failure", ["raise", "unconverged"])
+    def test_failed_polish_falls_back_to_next_grid_point(self, monkeypatch, failure):
+        """A polish that raises ValueError or does not converge moves on to
+        the next grid point; the ninth failure is a ConvergenceError."""
+        import scipy.optimize
+
+        curve = self.make_curve()
+        want = fit_decay(curve)
+        real = scipy.optimize.least_squares
+        starts, fail_first = [], [1]
+
+        def flaky(fun, x0, **kwargs):
+            starts.append(tuple(x0))
+            if len(starts) <= fail_first[0]:
+                if failure == "raise":
+                    raise np.linalg.LinAlgError("singular")
+                sol = real(fun, x0, max_nfev=1, **kwargs)
+                assert not sol.success
+                return sol
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", flaky)
+        got = fit_decay(curve)
+        assert len(starts) == 2 and starts[0] != starts[1]
+        assert got.t1 == pytest.approx(want.t1, rel=1e-6)
+        starts.clear()
+        fail_first[0] = 9
+        with pytest.raises(ConvergenceError):
+            fit_decay(curve)
+        assert len(set(starts)) == 9
 
     def test_fit_error_outside_value_error_surfaces(self, monkeypatch):
         """Only ValueError (LinAlgError, non-finite residuals) skips a start."""
