@@ -15,8 +15,8 @@ and its two-sided Fourier transform, the power spectral density S_e(omega)
 built from Lorentzians of width 1/tau_e at every transition frequency.
 Both sum over `TransitionSpectrum.binned`: the isotopes merged by
 abundance and the lines merged into 1 MHz bins without losing weight.
-`_lorentzian` and `_cosine_sum` are the line-sum kernels; `eesolver` uses
-`_cosine_sum` too.
+`_lorentzian` and `_cosine_sum` are the line-sum kernels; `eesolver` sums
+`_lorentzian` too.
 """
 
 from __future__ import annotations
@@ -142,6 +142,12 @@ def _cosine_sum(t: np.ndarray, omega: np.ndarray, eta: np.ndarray) -> np.ndarray
     cos(w (a_j + b_k)) = cos(w a_j) cos(w b_k) - sin(w a_j) sin(w b_k)
     turns the sum into two matrix products: ~4 sqrt(n) trig calls per line
     instead of n.  Any other t takes one cos per (point, line).
+
+    `autocorrelation` is its only caller.  The factorisation stays because
+    it is what makes a long grid cheap: 4 000 points over the 4 605 binned
+    lines at 461 G take about 20 ms this way and 420 ms with one cos per
+    (point, line), measured on 2 vCPUs; four fields on such a grid would
+    cost about 1.6 s more.
     """
     n = t.size
     span = np.max(np.abs(t)) if n else 0.0

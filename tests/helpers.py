@@ -187,21 +187,36 @@ def raw_spectral_density(m, omega):
     return out if np.ndim(omega) else float(out[0])
 
 
-def raw_line_tau(lattice, spectrum, lo: float, hi: float) -> float:
-    """Root of tau * rate(tau) = 1 over the raw, unbinned line list.
+def line_list_tau(lattice, omega, weight, lo: float, hi: float) -> float:
+    """Root of tau * rate(tau) = 1 by exact Lorentzian sums over one line list.
 
-    The oracle for `solve_tau_self_consistent`, which iterates the same
-    equation on the binned list: brentq on [lo, hi], to 1e-13 relative.
+    rate = gamma_e^2 [qs sum_a w_a L(omega_a)
+                      + ff sum_ab w_a w_b (L(omega_a - omega_b) + L(omega_a + omega_b))]
+    with every pair (a, b) summed, in chunks of rows: the oracle for
+    `solve_tau_self_consistent`, which sums the double sum on the bin grid.
+    brentq on [lo, hi], to 1e-13 relative.
     """
     from scipy.optimize import brentq
 
-    from spinbath.eesolver import _OverlapIntegrator, _geometry_sums, _rate_from_integrals
+    from spinbath.eesolver import _geometry_sums
 
-    integ = _OverlapIntegrator(*spectrum.merged())
     qs_geom, ff_geom = _geometry_sums(lattice)
+    omega, weight = np.asarray(omega, dtype=float), np.asarray(weight, dtype=float)
+
+    def lor(x, tau):
+        return tau / (np.square(x * tau) + 1.0)
 
     def excess(tau):
-        return tau * _rate_from_integrals(qs_geom, ff_geom, *integ.integrals(tau)) - 1.0
+        # both pair terms are symmetric in (a, b): rows [a0, a0 + 16) meet
+        # each other once per order and every later line twice
+        double = 0.0
+        for a0 in range(0, omega.size, 16):  # 16 rows stay in cache
+            rows, cols = omega[a0 : a0 + 16, None], omega[a0:]
+            pairs = lor(rows - cols, tau) + lor(rows + cols, tau)
+            col_w = np.where(np.arange(cols.size) < 16, 1.0, 2.0) * weight[a0:]
+            double += float(weight[a0 : a0 + 16] @ (pairs @ col_w))
+        rate = GAMMA_E**2 * (qs_geom * float(weight @ lor(omega, tau)) + ff_geom * double)
+        return tau * rate - 1.0
 
     return brentq(excess, lo, hi, xtol=1e-13 * lo, rtol=1e-13)
 
@@ -552,7 +567,7 @@ def fit_decay_fd(curve):
     (T1 at the 25/50/75 % time quantiles, iota 0.7/1.0/1.5, A and C from
     the end points) at SciPy's default tolerances, keeping the lowest
     cost.  The covariance comes from the finite-difference Jacobian at
-    that solution.
+    that solution, through the pseudo-inverse when J^T J is singular.
     """
     from scipy.optimize import least_squares
 
@@ -577,7 +592,11 @@ def fit_decay_fd(curve):
             sol = least_squares(resid, p0, bounds=(lo, hi), method="trf")
             if sol.success and (best is None or sol.cost < best.cost):
                 best = sol
-    cov = np.linalg.inv(best.jac.T @ best.jac)
+    jtj = best.jac.T @ best.jac
+    try:
+        cov = np.linalg.inv(jtj)
+    except np.linalg.LinAlgError:  # a singular fit, as in `fit_decay`
+        cov = np.linalg.pinv(jtj)
     perr = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
     return DecayFitResult(
         *best.x, *perr, chi2_red=2.0 * best.cost / max(len(curve) - 4, 1)

@@ -13,6 +13,7 @@ from spinbath.cli import (
     EXIT_AMBIGUOUS,
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_UNIDENTIFIABLE,
     _worker_count,
@@ -123,6 +124,18 @@ def test_tau_ee_requires_lattice_block(tmp_path):
     trimmed.write_text(yaml.safe_dump(tree))
     code = run_cli("tau-ee", "--config", trimmed, "--out", tmp_path)
     assert code == EXIT_CONFIG
+
+
+def test_tau_ee_without_lines_is_convergence_error(tmp_path, capsys):
+    """An eta floor that prunes every line leaves no rate: exit 4, one line."""
+    tree = yaml.safe_load(CONFIG_PATH.read_text())
+    tree["hyperfine"]["eta_floor"] = 1.0
+    tree["bath"]["fields_gauss"] = [721.0]
+    path = tmp_path / "nolines.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    assert run_cli("tau-ee", "--config", path, "--out", tmp_path) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err == "convergence error: fixed-point rate became non-positive at iteration 1\n"
 
 
 def test_tau_ee_uses_config_gamma_e(tmp_path, shipped_config):
