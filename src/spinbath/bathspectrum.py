@@ -15,8 +15,13 @@ and its two-sided Fourier transform, the power spectral density S_e(omega)
 built from Lorentzians of width 1/tau_e at every transition frequency.
 Both sum over `TransitionSpectrum.binned`: the isotopes merged by
 abundance and the lines merged into 1 MHz bins without losing weight.
-`_lorentzian` and `_cosine_sum` are the line-sum kernels; `eesolver` sums
-`_lorentzian` too.
+
+`comb_sum` is the one Lorentzian line-sum kernel, in place and in chunks
+of `_CHUNK_ELEMENTS`; `unit_spectral_density` turns its result into S_e
+per unit b0^2.  `spectral_density` and the estimator's θ-cache
+(`estimator.ForwardModel`) both go through the pair, and `eesolver` sums
+the same in-place `_unit_lorentzian`.  `_cosine_sum` is the kernel of
+G_e(t).
 """
 
 from __future__ import annotations
@@ -95,7 +100,6 @@ class BathSpectrumModel:
     spectrum: TransitionSpectrum
     tau_e: float  # seconds
     b0_sq: float  # tesla^2
-    geometry: FilmGeometry | None = None
 
     def __post_init__(self) -> None:
         if self.tau_e <= 0:
@@ -103,24 +107,10 @@ class BathSpectrumModel:
         if self.b0_sq < 0:
             raise ValueError("b0_sq must be >= 0")
 
-    @classmethod
-    def from_geometry(
-        cls,
-        spectrum: TransitionSpectrum,
-        tau_e: float,
-        geometry: FilmGeometry,
-        gamma_e: float = GAMMA_E,
-    ) -> "BathSpectrumModel":
-        return cls(
-            spectrum=spectrum,
-            tau_e=tau_e,
-            b0_sq=coupling_b0_sq(geometry, gamma_e=gamma_e),
-            geometry=geometry,
-        )
 
-
-#: Grid points per evaluation chunk; bounds the (grid x lines) work arrays.
-_CHUNK = 256
+#: Elements of the largest (rows x lines) work array of a line sum: 512 kB
+#: in float64, 256 kB in float32.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 def autocorrelation(m: BathSpectrumModel, t) -> np.ndarray | float:
@@ -155,8 +145,9 @@ def _cosine_sum(t: np.ndarray, omega: np.ndarray, eta: np.ndarray) -> np.ndarray
     grid = t[0] + dt * np.arange(n) if n > 1 else t
     if n < 64 or np.max(np.abs(t - grid)) > 16.0 * np.finfo(float).eps * span:
         out = np.empty(n)
-        for lo in range(0, n, _CHUNK):
-            out[lo : lo + _CHUNK] = np.cos(t[lo : lo + _CHUNK, None] * omega) @ eta
+        rows = max(1, _CHUNK_ELEMENTS // max(omega.size, 1))
+        for lo in range(0, n, rows):
+            out[lo : lo + rows] = np.cos(t[lo : lo + rows, None] * omega) @ eta
         return out
     block = int(np.ceil(np.sqrt(n)))
     n_anchor = -(-n // block)
@@ -173,8 +164,50 @@ def _cosine_sum(t: np.ndarray, omega: np.ndarray, eta: np.ndarray) -> np.ndarray
     return out.ravel()[:n]
 
 
-def _lorentzian(x, tau: float):
-    return tau / (np.square(x * tau) + 1.0)
+def _unit_lorentzian(x, tau, out=None):
+    """u(x τ) = 1 / ((x τ)² + 1), elementwise; `out` may be `x` itself."""
+    out = np.multiply(x, tau, out=out)
+    np.square(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+def comb_sum(minus, plus, weight, tau, shift=None) -> np.ndarray:
+    """Σ_l w_l [u((minus_l − s) τ) + u((plus_l + s) τ)] for each row.
+
+    `minus`, `plus` and `weight` are 1-D over the lines.  The rows are
+    those of the column `shift` (s), or with `shift` None (s = 0) of the
+    column `tau`; `tau` may be a scalar when `shift` is given.  The sum runs
+    in the dtype of `minus` and `tau`, over chunks of rows whose two work
+    arrays hold at most `_CHUNK_ELEMENTS` elements each.  Each row is
+    reduced on its own (pairwise summation), so its value does not depend
+    on the chunk it falls in.
+    """
+    n = np.size(tau if shift is None else shift)
+    step = max(1, _CHUNK_ELEMENTS // max(weight.size, 1))
+    lo_buf = np.empty((min(step, n), weight.size), np.result_type(minus, tau))
+    hi_buf = np.empty_like(lo_buf)
+    out = np.empty(n, lo_buf.dtype)
+    for s in range(0, n, step):
+        t = tau[s : s + step] if np.ndim(tau) else tau
+        lo, hi = lo_buf[: n - s], hi_buf[: n - s]
+        if shift is None:
+            _unit_lorentzian(minus, t, out=lo)
+            _unit_lorentzian(plus, t, out=hi)
+        else:
+            ds = shift[s : s + step]
+            _unit_lorentzian(np.subtract(minus, ds, out=lo), t, out=lo)
+            _unit_lorentzian(np.add(plus, ds, out=hi), t, out=hi)
+        lo += hi
+        lo *= weight
+        lo.sum(axis=-1, out=out[s : s + step])
+    return out
+
+
+def unit_spectral_density(omega, tau, comb):
+    """S_e per unit b0^2 from a `comb_sum`: (2 f_z u(ω τ) + f_perp comb) τ."""
+    f_z, f_perp = geometry_factors()
+    return (2.0 * f_z / ((omega * tau) ** 2 + 1.0) + f_perp * comb) * tau
 
 
 def spectral_density(m: BathSpectrumModel, omega) -> np.ndarray | float:
@@ -187,14 +220,8 @@ def spectral_density(m: BathSpectrumModel, omega) -> np.ndarray | float:
     """
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     lines, weight = m.spectrum.binned()
-    f_z, f_perp = geometry_factors()
-    comb = np.empty_like(omega_arr)
-    for lo in range(0, omega_arr.size, _CHUNK):
-        block = omega_arr[lo : lo + _CHUNK, None]
-        comb[lo : lo + _CHUNK] = (
-            _lorentzian(block - lines, m.tau_e) + _lorentzian(block + lines, m.tau_e)
-        ) @ weight
-    out = m.b0_sq * (2.0 * f_z * _lorentzian(omega_arr, m.tau_e) + f_perp * comb)
+    comb = comb_sum(lines, lines, weight, m.tau_e, omega_arr[:, None])
+    out = m.b0_sq * unit_spectral_density(omega_arr, m.tau_e, comb)
     return out if np.ndim(omega) else float(out[0])
 
 
@@ -233,7 +260,6 @@ def free_electron_spectrum(
         spectrum=electron_only_spectrum(b_field, gamma_e=gamma_e),
         tau_e=tau_e,
         b0_sq=coupling_b0_sq(g, gamma_e=gamma_e),
-        geometry=g,
     )
     return spectral_density(model, omega)
 
@@ -254,4 +280,8 @@ def cupc_bath_model(
         isotopes=CU_ISOTOPES if isotopes is None else isotopes,
         eta_floor=DEFAULT_ETA_FLOOR if eta_floor is None else eta_floor,
     )
-    return BathSpectrumModel.from_geometry(spectrum, tau_e, geometry, gamma_e=gamma_e)
+    return BathSpectrumModel(
+        spectrum=spectrum,
+        tau_e=tau_e,
+        b0_sq=coupling_b0_sq(geometry, gamma_e=gamma_e),
+    )

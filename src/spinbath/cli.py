@@ -85,32 +85,6 @@ def _apply_thread_cap() -> int:
     return workers
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance sidecar written next to every result file."""
-
-    command: str
-    version: str
-    seed: int
-    config_hash: str | None
-    input_hashes: dict[str, str]
-    timestamp: str
-    outputs: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "input_hashes": self.input_hashes,
-            "timestamp": self.timestamp,
-            "outputs": list(self.outputs),
-            "notes": list(self.notes),
-        }
-
-
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is not None:
@@ -166,20 +140,21 @@ class _Run:
         from . import __version__
         from .io import sha256_of, write_json
 
-        manifest = RunManifest(
-            command=self.command,
-            version=__version__,
-            seed=self.seed,
-            config_hash=(
+        # provenance sidecar written next to every result file
+        manifest = {
+            "command": self.command,
+            "version": __version__,
+            "seed": self.seed,
+            "config_hash": (
                 sha256_of(self.config_path) if self.config_path.exists() else None
             ),
-            input_hashes=dict(sorted(self.inputs.items())),
-            timestamp=_timestamp(),
-            outputs=tuple(self.outputs),
-            notes=tuple(self.notes),
-        )
-        write_json(self.out_dir / f"{self.command.replace('-', '_')}_manifest.json",
-                   manifest.as_dict())
+            "input_hashes": dict(sorted(self.inputs.items())),
+            "timestamp": _timestamp(),
+            "outputs": list(self.outputs),
+            "notes": list(self.notes),
+        }
+        name = f"{self.command.replace('-', '_')}_manifest.json"
+        write_json(self.out_dir / name, manifest)
 
 
 # ---------------------------------------------------------------------------

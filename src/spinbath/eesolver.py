@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bathspectrum import S_SPIN_FACTOR, _lorentzian
+from .bathspectrum import S_SPIN_FACTOR, _unit_lorentzian
 from .constants import GAMMA_E, HBAR, MU_0
 from .errors import ConvergenceError
 from .spinmodel import DEFAULT_BIN, TransitionSpectrum
@@ -273,9 +273,9 @@ def solve_tau_self_consistent(
     def one_solve(lat: LatticeModel, tau: float) -> tuple[float, int, float]:
         qs_geom, ff_geom = _geometry_sums(lat, gamma_e)
         for it in range(1, _MAX_ITER + 1):
-            rate = gamma_e**2 * (
-                qs_geom * float(weight @ _lorentzian(lines, tau))
-                + ff_geom * float(pair_weight @ _lorentzian(pair_omega, tau))
+            rate = gamma_e**2 * tau * (
+                qs_geom * float(weight @ _unit_lorentzian(lines, tau))
+                + ff_geom * float(pair_weight @ _unit_lorentzian(pair_omega, tau))
             )
             if not np.isfinite(rate) or rate <= 0:
                 raise ConvergenceError(

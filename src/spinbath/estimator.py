@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .bathspectrum import FilmGeometry, geometry_factors, slab_b0_sq
+from .bathspectrum import FilmGeometry, comb_sum, slab_b0_sq, unit_spectral_density
 from .constants import GAUSS_TO_TESLA
 from .errors import UnidentifiableError
 from .relaxometry import MeasurementSet, NvConfig, nv_frequency
@@ -58,22 +58,16 @@ DEFAULT_THETA_STEP = np.radians(1.0)
 #: Parameters a fit may leave free.
 FITTABLE = ("tau_e", "theta_e", "d_nv")
 
-#: Largest (τ × line) float32 work array of one node sum (4 MB).
-_CHUNK_ELEMENTS = 1 << 20
-
-
-def _unit_lorentzian(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """1 / ((x t)² + 1) for a column of τ against a row of lines, in place."""
-    out = np.square(x * t)
-    out += 1.0
-    return np.reciprocal(out, out=out)
-
 
 class ForwardModel:
     """Cached ΔΓ₁^th(B; τ_e, θ_e) · b₀²-multiplier evaluator.
 
     Building it costs one diagonalization pair per (field, θ node);
     `isotopes` and `eta_floor` are passed to `isotope_family_spectrum`.
+    The cache holds each node's binned lines as float32 ω ∓ ω_NV; a node
+    sum is one `bathspectrum.comb_sum` over them, the kernel that
+    `spectral_density` runs too, and `bathspectrum.unit_spectral_density`
+    turns it into S_e, so no part of S_e is coded here.
     After construction the line cache is read-only.  The one mutable part
     is a memo of the last line sum per (field, node): the bytes of the τ
     array summed and the resulting row, stored as one tuple and replaced
@@ -125,8 +119,6 @@ class ForwardModel:
         if self.theta_nodes[-1] < np.pi / 2 - 1e-12:
             self.theta_nodes = np.append(self.theta_nodes, np.pi / 2)
         self.bin_width = bin_width
-        f_z, f_perp = geometry_factors()
-        self._f_z, self._f_perp = f_z, f_perp
         # cache[(i_field, i_node)] = (minus, plus) float32 arrays of
         # (omega_line -/+ omega_nv) and the matching weights
         self._cache: dict[tuple[int, int], tuple] = {}
@@ -170,11 +162,11 @@ class ForwardModel:
     def _node_rates(self, taus: np.ndarray, nodes: np.ndarray, fields) -> np.ndarray:
         """ΔΓ₁ for b₀² = 1 T² at θ nodes `nodes`: (n_τ, n_node, len(fields)).
 
-        The line sum runs in float32 over chunks of τ, so no work array
-        exceeds _CHUNK_ELEMENTS.  Each τ row is reduced on its own (pairwise
-        summation), so its value does not depend on which other τ share the
-        call.  A (field, node) whose last sum was over the same τ bytes
-        reuses that row from the memo.
+        Each node is one float32 `bathspectrum.comb_sum` over the cached
+        ω ∓ ω_NV, a row per τ, so a row's value does not depend on which
+        other τ share the call; `bathspectrum.unit_spectral_density` turns
+        the sums into S_e.  A (field, node) whose last sum was over the same
+        τ bytes reuses that row from the memo.
         """
         lines = np.empty((taus.size, nodes.size, len(fields)))
         t32 = taus.astype(np.float32)[:, None]
@@ -185,18 +177,12 @@ class ForwardModel:
                 if memo is not None and memo[0] == key:
                     lines[:, k, f] = memo[1]
                     continue
-                diff, summ, w = self._cache[(i, j)]
-                step = max(1, _CHUNK_ELEMENTS // w.size)
-                for s in range(0, taus.size, step):
-                    t = t32[s : s + step]
-                    lor = _unit_lorentzian(diff, t)
-                    lor += _unit_lorentzian(summ, t)
-                    lor *= w
-                    lines[s : s + step, k, f] = lor.sum(axis=-1)
+                lines[:, k, f] = comb_sum(*self._cache[(i, j)], t32)
                 self._sums[(i, j)] = (key, lines[:, k, f].copy())
         tau = taus[:, None, None]
-        central = 2.0 * self._f_z / ((self._omega_nv[list(fields)] * tau) ** 2 + 1.0)
-        return self.nv.gamma_e**2 * ((central + self._f_perp * lines) * tau)
+        return self.nv.gamma_e**2 * unit_spectral_density(
+            self._omega_nv[list(fields)], tau, lines
+        )
 
     def unit_rates(self, tau, theta, fields=None) -> np.ndarray:
         """ΔΓ₁ per unit b₀² at broadcastable τ and θ: shape (..., n_field).

@@ -244,7 +244,8 @@ def fit_decay(curve: DecayCurve) -> DecayFitResult:
 
     A and C enter the model linearly, so for any fixed (T1, iota) they
     are solved exactly (variable projection).  `_grid_starts` does that
-    on a 48 x 12 grid over the T1 and iota bounds and ranks the points by
+    on a 48 x 12 grid, T1 from 1/100 of the first positive delay to the
+    upper T1 bound and iota over its bounds, and ranks the points by
     weighted cost.  The best point is polished by one bounded TRF run on
     all four parameters with the analytic Jacobian of the weighted
     residual; the next points are tried, up to 9 in all, only when a
@@ -262,6 +263,8 @@ def fit_decay(curve: DecayCurve) -> DecayFitResult:
             f"need at least {MIN_DECAY_SAMPLES} samples to fit 4 parameters"
         )
     t, y, sig = curve.t, curve.y, curve.sigma
+    # the T1 grid starts at the first positive delay / 100, not the nudged one
+    grid_t1_lo = (t[0] if t[0] > 0 else t[1]) / 100.0
     if t[0] <= 0:
         # (t/T1)^iota needs t > 0; nudge a leading zero sample
         t = t.copy()
@@ -282,7 +285,7 @@ def fit_decay(curve: DecayCurve) -> DecayFitResult:
     def jac(p):
         return _stretched_exp_jac(t, *p) / sig[:, None]
 
-    for p0 in _grid_starts(t, y, sig, lo, hi):
+    for p0 in _grid_starts(t, y, sig, [lo[0], grid_t1_lo, *lo[2:]], hi):
         try:
             best = least_squares(
                 resid, p0, jac=jac, bounds=(lo, hi), method="trf",

@@ -1,7 +1,17 @@
 import math
+import os
 from pathlib import Path
 
 import pytest
+
+from spinbath.cli import _THREAD_VARS
+
+# One BLAS thread per process unless the caller chose otherwise, as the CLI
+# pins it: numpy is not loaded yet, so its BLAS reads these once it is.  The
+# threaded θ-cache tests then run one `eigh` per worker thread, and do not
+# oversubscribe the cores when another process shares them.
+for _var in _THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_PATH = REPO_ROOT / "configs" / "cupc.yaml"

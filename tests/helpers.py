@@ -425,8 +425,9 @@ def node_rate_unit(model, i_field, j_node, tau):
     t = np.float32(tau)
     lines = float((1.0 / ((diff * t) ** 2 + 1.0) + 1.0 / ((summ * t) ** 2 + 1.0)) @ w)
     w_nv = model._omega_nv[i_field]
-    central = 2.0 * model._f_z / ((w_nv * tau) ** 2 + 1.0)
-    return model.nv.gamma_e**2 * (central + model._f_perp * lines) * tau
+    f_z, f_perp = geometry_factors()
+    central = 2.0 * f_z / ((w_nv * tau) ** 2 + 1.0)
+    return model.nv.gamma_e**2 * (central + f_perp * lines) * tau
 
 
 def delta_gamma_unit_loop(model, i_field, tau, theta):
@@ -612,7 +613,6 @@ def pair_spectral_density(pair, tau_e, spectrum, omega, gamma_e=GAMMA_E) -> floa
     (omega_l, w_l) of `TransitionSpectrum.binned`: the per-pair spectral
     density whose line-weighted sum the tau_ee fixed point equates to 1/tau.
     """
-    from spinbath.bathspectrum import _lorentzian
     from spinbath.eesolver import dipolar_prefactor, flip_flop_factor, quasi_static_factor
 
     r, theta = pair
@@ -620,9 +620,10 @@ def pair_spectral_density(pair, tau_e, spectrum, omega, gamma_e=GAMMA_E) -> floa
         raise ValueError("pair distance must be > 0")
     if tau_e <= 0:
         raise ValueError("tau_e must be > 0")
-    qs = quasi_static_factor(theta) * _lorentzian(omega, tau_e)
+    def lorentzian(x):
+        return tau_e / ((x * tau_e) ** 2 + 1.0)
+
+    qs = quasi_static_factor(theta) * lorentzian(omega)
     lines, weight = spectrum.binned()
-    ff_sum = float(
-        (_lorentzian(lines - omega, tau_e) + _lorentzian(lines + omega, tau_e)) @ weight
-    )
+    ff_sum = float((lorentzian(lines - omega) + lorentzian(lines + omega)) @ weight)
     return float(dipolar_prefactor(r, gamma_e) * (qs + flip_flop_factor(theta) * ff_sum))

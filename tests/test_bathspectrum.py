@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spinbath.bathspectrum as bathspectrum
 from helpers import raw_spectral_density, slab_dipolar_quadrature
 from spinbath.bathspectrum import (
     NV_TILT,
@@ -261,3 +262,34 @@ class TestBinnedLines:
         omega = TWO_PI * 1e9 * np.linspace(0.1, 6.0, 1200)
         rel = spectral_density(model, omega) / raw_spectral_density(model, omega) - 1
         assert np.max(np.abs(rel)) <= 5e-6
+
+
+class TestCombKernel:
+    """`spectral_density` sums in place, in chunks of `_CHUNK_ELEMENTS`."""
+
+    @pytest.fixture(scope="class")
+    def cli_grid(self, shipped_config):
+        """The `spectrum` command's 461 G model and 1200-point ω grid."""
+        cfg = shipped_config
+        model = cfg.bath_model(461.0 * GAUSS_TO_TESLA, 2e-9)
+        model.spectrum.binned()  # memoized: keep it out of the measurements
+        return model, TWO_PI * 1e9 * np.linspace(0.1, 6.0, 1200)
+
+    def test_work_arrays_are_bounded(self, cli_grid):
+        """Peak traced allocation of one call stays within 4 MB (36 MB before)."""
+        import tracemalloc
+
+        model, omega = cli_grid
+        tracemalloc.start()
+        try:
+            spectral_density(model, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak
+
+    def test_chunking_does_not_change_values(self, cli_grid, monkeypatch):
+        model, omega = cli_grid
+        whole = spectral_density(model, omega)
+        monkeypatch.setattr(bathspectrum, "_CHUNK_ELEMENTS", 1)  # one ω row per chunk
+        np.testing.assert_array_equal(spectral_density(model, omega), whole)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -53,6 +54,69 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="invalid YAML") as exc:
             load_config(bad)
         assert "\n" not in str(exc.value)
+
+
+class TestDefaultsMatchLibrary:
+    """A key left out of the config means the library's built-in constant.
+
+    Both are written down, in bench units here and in SI units there, so
+    they are compared to 1e-15 relative (D_zfs and the box edges differ by
+    an ulp).  The warm-estimate benchmark builds its `ForwardModel` with
+    the library defaults, not `spectrum_args()`, and relies on this.
+    """
+
+    @pytest.fixture(scope="class")
+    def defaults(self, shipped_config):
+        from spinbath.config import ToolkitConfig
+
+        # geometry is the one block without defaults
+        return ToolkitConfig(geometry=shipped_config.geometry)
+
+    @staticmethod
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    def test_spin_system(self, defaults):
+        from spinbath.spinmodel import (
+            CU_ISOTOPES,
+            CU_TENSOR,
+            DEFAULT_ETA_FLOOR,
+            N_TENSOR,
+            SpinSystemSpec,
+        )
+
+        spec = defaults.spin_spec(0.0)
+        for got, want in ((spec.cu_tensor, CU_TENSOR), (spec.n_tensor, N_TENSOR)):
+            self.close([got.axx, got.ayy, got.azz], [want.axx, want.ayy, want.azz])
+        spec_defaults = {f.name: f.default for f in dataclasses.fields(SpinSystemSpec)}
+        assert spec.n_nitrogens == spec_defaults["n_nitrogens"]
+        isotopes = defaults.isotopes()
+        assert [i.label for i in isotopes] == [i.label for i in CU_ISOTOPES]
+        for got, want in zip(isotopes, CU_ISOTOPES, strict=True):
+            self.close(
+                [got.abundance, got.scale, got.spin],
+                [want.abundance, want.scale, want.spin],
+            )
+        self.close(defaults.spectrum_args()["eta_floor"], DEFAULT_ETA_FLOOR)
+
+    def test_nv(self, defaults):
+        from spinbath.relaxometry import NvConfig
+
+        got, want = defaults.nv_config(), NvConfig()
+        self.close([got.d_zfs, got.gamma_e], [want.d_zfs, want.gamma_e])
+        assert got.branch == want.branch
+
+    def test_fit(self, defaults):
+        from spinbath.estimator import DEFAULT_BOXES, DEFAULT_GRID, DEFAULT_THETA_STEP
+        from spinbath.spinmodel import DEFAULT_BIN
+
+        boxes = defaults.fit_boxes()
+        assert boxes.keys() == DEFAULT_BOXES.keys()
+        for name, box in DEFAULT_BOXES.items():
+            self.close(boxes[name], box)
+        assert defaults.fit.grid_points == DEFAULT_GRID
+        self.close(math.radians(defaults.fit.theta_step_deg), DEFAULT_THETA_STEP)
+        self.close(2.0 * math.pi * defaults.fit.bin_mhz * 1e6, DEFAULT_BIN)
 
 
 class TestConfigValidation:

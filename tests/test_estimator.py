@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+import spinbath.bathspectrum as bathspectrum
 import spinbath.estimator as estimator
 from helpers import (
     accepted_loop,
@@ -249,11 +250,11 @@ class TestNodeSumMemo:
         problem = self.problem(small_model, geometry, nuisance_fixed, ("d_nv", "theta_e"))
         monkeypatch.setattr(small_model, "_sums", {})
         calls = []
-        lorentzian = estimator._unit_lorentzian
+        lorentzian = bathspectrum._unit_lorentzian
 
-        def counting(x, t):
+        def counting(x, t, out=None):
             calls.append(t.shape)
-            return lorentzian(x, t)
+            return lorentzian(x, t, out=out)
 
         at_refinement = []
         minimize = estimator.minimize
@@ -262,7 +263,7 @@ class TestNodeSumMemo:
             at_refinement.append(len(calls))
             return minimize(*args, **kwargs)
 
-        monkeypatch.setattr(estimator, "_unit_lorentzian", counting)
+        monkeypatch.setattr(bathspectrum, "_unit_lorentzian", counting)
         monkeypatch.setattr(estimator, "minimize", refine)
         fit(problem, grid_points=32)
         # the 32-point θ grid brackets every 15° node: each (field, node) is
@@ -280,7 +281,7 @@ class TestNodeSumMemo:
         np.testing.assert_array_equal(
             small_model.unit_rates(taus, 0.6, fields=(1,))[..., 0], whole[..., 1]
         )
-        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 3000)  # ~1 tau per chunk
+        monkeypatch.setattr(bathspectrum, "_CHUNK_ELEMENTS", 3000)  # ~1 tau per chunk
         np.testing.assert_array_equal(small_model.unit_rates(taus, 0.6), whole)
 
     def test_other_tau_array_is_summed_afresh(self, small_model, monkeypatch):
@@ -564,7 +565,7 @@ class TestVectorizedAgainstLoops:
     def test_chunking_does_not_change_values(self, small_model, monkeypatch):
         taus = np.geomspace(0.1e-9, 100e-9, 37)
         whole = small_model.unit_rates(taus, 0.6)
-        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 3000)  # ~1 tau per chunk
+        monkeypatch.setattr(bathspectrum, "_CHUNK_ELEMENTS", 3000)  # ~1 tau per chunk
         np.testing.assert_array_equal(small_model.unit_rates(taus, 0.6), whole)
 
     def test_single_point_sums_two_nodes_per_field(self, small_model, monkeypatch):

@@ -310,6 +310,22 @@ class TestFitDecay:
             want = np.array(grid_starts_loop(t, y, sig, lo, hi)[: relaxometry._MAX_POLISHES])
             np.testing.assert_allclose(got, want[:, 1:], rtol=1e-7, atol=1e-12)
 
+    def test_grid_starts_at_first_positive_delay(self, monkeypatch):
+        """A zero first delay is nudged for the model, but the T1 grid
+        starts at 1/100 of the first positive delay, not of the nudged one."""
+        lows = []
+        real = relaxometry._grid_starts
+
+        def spy(t, y, sig, lo, hi):
+            lows.append(lo[1])
+            return real(t, y, sig, lo, hi)
+
+        monkeypatch.setattr(relaxometry, "_grid_starts", spy)
+        curve = self.make_curve()
+        assert curve.t[0] == 0.0
+        fit_decay(curve)
+        assert lows == [curve.t[1] / 100]
+
     def test_one_polish_per_benchmark_style_trace(self, monkeypatch):
         """The grid's best point converges: one least_squares call per fit."""
         import scipy.optimize
