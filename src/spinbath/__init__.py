@@ -2,10 +2,9 @@
 
 Submodules are imported lazily so the CLI can apply SPINBATH_THREADS
 before any BLAS-backed import happens.  SciPy is imported lazily too: only
-the functions that call it import it (`scipy.optimize` in `estimator`, and
-inside `fit_decay` and `fit_spin_lattice`), so `spectrum`, `t1` and `tau-ee`
-load no SciPy module at all.  Keep new SciPy imports out of module level
-in `spinmodel`, `bathspectrum`, `relaxometry`, `eesolver`, `config` and `io`.
+`fit_decay` and `fit_spin_lattice` import it, so every command but
+`decay-fit` loads no SciPy module at all.  Keep new SciPy imports out of
+module level in every module.
 """
 
 __version__ = "0.1.0"

@@ -16,9 +16,9 @@ depth      Per-NV depth estimate d_T1 with confidence interval, plus an
 decay-fit  Stretched-exponential fit of a single relaxation trace.
 
 Every command writes its result files plus ``<command>_manifest.json``
-into --out.  Outputs are deterministic for fixed inputs and seed; the
-manifest timestamp honours SOURCE_DATE_EPOCH so full byte-reproducibility
-is available when that is pinned.
+into --out.  Outputs are deterministic for fixed inputs; the manifest
+timestamp honours SOURCE_DATE_EPOCH so full byte-reproducibility is
+available when that is pinned.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
 non-convergence, 5 unidentifiable fit, 7 converged but ambiguous
@@ -101,7 +101,6 @@ class _Run:
     command: str
     config_path: Path
     out_dir: Path
-    seed: int
     args: argparse.Namespace
     workers: int  # θ-cache build threads (SPINBATH_THREADS)
     notes: list[str] = field(default_factory=list)
@@ -144,7 +143,6 @@ class _Run:
         manifest = {
             "command": self.command,
             "version": __version__,
-            "seed": self.seed,
             "config_hash": (
                 sha256_of(self.config_path) if self.config_path.exists() else None
             ),
@@ -515,14 +513,19 @@ def cmd_depth(run: _Run) -> int:
             rows.append({"nv_id": nv_id, "identifiable": False, "reason": str(exc)})
             continue
         d_nm = result.best["d_nv"] * 1e9
-        intervals = (result.confidence or {}).get("d_nv", [])
-        d_lo = min((iv[0] for iv in intervals), default=result.best["d_nv"]) * 1e9
-        d_hi = max((iv[1] for iv in intervals), default=result.best["d_nv"]) * 1e9
+        # an empty region (no d_nv fits every record within ε) is null
+        intervals = result.confidence["d_nv"]
+        d_range = None
+        if intervals:
+            d_range = [
+                min(iv[0] for iv in intervals) * 1e9,
+                max(iv[1] for iv in intervals) * 1e9,
+            ]
         row = {
             "nv_id": nv_id,
             "identifiable": True,
             "d_t1_nm": d_nm,
-            "d_t1_interval_nm": [d_lo, d_hi],
+            "d_t1_interval_nm": d_range,
             "theta_e_deg": math.degrees(result.best["theta_e"]),
             "n_records": len(recs),
             "boundary_minimum": result.boundary_minimum,
@@ -541,11 +544,16 @@ def cmd_depth(run: _Run) -> int:
                 if "d_ref_nm" in row
                 else ""
             )
-            lo, hi = row["d_t1_interval_nm"]
+            d_range = row["d_t1_interval_nm"]
+            region = f"{d_range[0]:.2f}, {d_range[1]:.2f}" if d_range else "empty"
             print(
                 f"depth: {row['nv_id']} d_T1 = {row['d_t1_nm']:.2f} nm "
-                f"[{lo:.2f}, {hi:.2f}]{ref}"
+                f"[{region}]{ref}"
             )
+            if row["boundary_minimum"]:
+                print(
+                    f"depth: warning - {row['nv_id']}: minimum on search-box boundary"
+                )
         else:
             print(f"depth: {row['nv_id']} unidentifiable ({row['reason']})")
     for note in run.notes:
@@ -632,7 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="YAML config path")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (recorded)")
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("spectrum", help="bath spectral density S_e(omega)")
@@ -717,7 +724,6 @@ def main(argv=None) -> int:
         command=args.command,
         config_path=Path(args.config),
         out_dir=out_dir,
-        seed=args.seed,
         args=args,
         workers=workers,
     )

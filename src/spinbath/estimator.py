@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bathspectrum import FilmGeometry, comb_sum, slab_b0_sq, unit_spectral_density
 from .constants import GAUSS_TO_TESLA
@@ -392,6 +391,69 @@ def _grid_local_minima(obj: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(int(i) for i in idx) for idx in np.argwhere(is_min)]
 
 
+def _nelder_mead(f, x0: np.ndarray) -> np.ndarray:
+    """Minimize f from x0 by Nelder–Mead (Nelder & Mead 1965); returns x.
+
+    The steps of SciPy 1.17's `minimize(method="Nelder-Mead")` with
+    xatol 1e-5, fatol 1e-12 and maxiter 600, without bounds or the adaptive
+    mode, in the same floating-point operations: the first simplex scales
+    each coordinate by 1.05 (0 becomes 0.00025), the vertices are re-sorted
+    by `np.argsort` after every iteration, and it stops once both the
+    simplex and its values lie within xatol and fatol of the best vertex, or
+    after maxiter iterations.  So its minimum is SciPy's, bit for bit, and
+    minima that tie to round-off keep their order.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    xatol, fatol, maxiter = 1e-5, 1e-12, 600
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        sim[k + 1] = x0
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    for _ in range(2):  # SciPy sorts the first simplex twice
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    iterations = 1
+    while iterations < maxiter:
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:  # outside contraction
+            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+            fxc = f(xc)
+            shrink = not (fxc <= fxr)
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+        else:  # inside contraction
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = f(xcc)
+            shrink = not (fxcc < fsim[-1])
+            if not shrink:
+                sim[-1], fsim[-1] = xcc, fxcc
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    return sim[0]
+
+
 def fit(problem: FitProblem, grid_points: int = DEFAULT_GRID) -> FitResult:
     """Deterministic grid scan + Nelder–Mead refinement of every basin."""
     free = problem.free
@@ -440,13 +502,7 @@ def fit(problem: FitProblem, grid_points: int = DEFAULT_GRID) -> FitResult:
     candidates = []
     for idx in starts:
         x0 = np.array([grids[k][idx[k]] for k in range(len(free))])
-        sol = minimize(
-            f_internal,
-            to_internal(x0),
-            method="Nelder-Mead",
-            options={"xatol": 1e-5, "fatol": 1e-12, "maxiter": 600},
-        )
-        u = np.clip(sol.x, 0.0, 1.0)
+        u = np.clip(_nelder_mead(f_internal, to_internal(x0)), 0.0, 1.0)
         candidates.append((from_internal(u), f_internal(u)))
 
     # deduplicate within 1% of the (internal) box per dimension

@@ -580,7 +580,7 @@ def test_criterion_12_determinism_and_io(
         for run in ("a", "b"):
             out = tmp_path / f"{name}-{run}"
             codes.append(
-                main(argv + ["--config", str(config), "--seed", "3", "--out", str(out)])
+                main(argv + ["--config", str(config), "--out", str(out)])
             )
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert codes[0] == codes[1]

@@ -40,7 +40,7 @@ def test_spectrum_writes_results_and_manifest(tmp_path):
     assert (tmp_path / "spectrum_summary.json").exists()
     manifest = json.loads((tmp_path / "spectrum_manifest.json").read_text())
     assert manifest["command"] == "spectrum"
-    assert manifest["seed"] == 0
+    assert "seed" not in manifest
     assert "spectrum.csv" in manifest["outputs"]
     assert len(manifest["config_hash"]) == 64
 
@@ -525,19 +525,26 @@ def test_prediction_commands_load_no_scipy(argv, tmp_path, small_model, geometry
     assert modules == []
 
 
-def test_fit_loads_no_scipy_ndimage(tmp_path, small_model, geometry):
+def test_fit_and_depth_load_no_scipy(tmp_path, small_model, geometry):
     tree = yaml.safe_load(CONFIG_PATH.read_text())
     tree["fit"]["theta_step_deg"] = 45.0
     config = tmp_path / "coarse.yaml"
     config.write_text(yaml.safe_dump(tree))
     data = _two_field_table(tmp_path, small_model, geometry)
-    code, modules = _scipy_modules_after(
-        "fit", "--config", config, "--out", tmp_path / "out", "--data", data,
-        "--grid", "8",
-    )
-    assert code in (EXIT_OK, EXIT_AMBIGUOUS)
-    assert "scipy.optimize" in modules
-    assert not [m for m in modules if m.startswith("scipy.ndimage")]
+    for command in ("fit", "depth"):
+        code, modules = _scipy_modules_after(
+            command, "--config", config, "--out", tmp_path / command, "--data", data,
+            "--grid", "8",
+        )
+        assert code in (EXIT_OK, EXIT_AMBIGUOUS), command
+        assert modules == [], command
+
+
+def test_seed_flag_is_gone(tmp_path, no_config_load):
+    """No command draws a random number, so none takes a seed."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("spectrum", "--config", CONFIG_PATH, "--out", tmp_path, "--seed", "3")
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_worker_count_parses_and_caps():
@@ -585,6 +592,32 @@ def test_fit_bytes_same_on_one_and_two_threads(tmp_path, small_model, geometry):
             [(out / name).read_bytes() for name in ("fit.json", "fit_landscape.csv")]
         )
     assert outputs[0] == outputs[1]
+
+
+def test_depth_prints_empty_region_and_boundary_warning(tmp_path, capsys):
+    """ΔΓ₁ < 0 at both fields: no depth fits, and the minimum is on the box edge."""
+    tree = yaml.safe_load(CONFIG_PATH.read_text())
+    tree["fit"]["theta_step_deg"] = 45.0
+    config = tmp_path / "coarse.yaml"
+    config.write_text(yaml.safe_dump(tree))
+    data = tmp_path / "t1.csv"
+    data.write_text(
+        "nv_id,b_gauss,t1_cupc_us,t1_cupc_sigma_us,t1_free_us,t1_free_sigma_us\n"
+        "NV1,231.0,5200,100,5000,100\n"
+        "NV1,721.0,5300,100,5000,100\n"
+    )
+    code = run_cli(
+        "depth", "--config", config, "--out", tmp_path / "out", "--data", data,
+        "--grid", "8",
+    )
+    assert code == EXIT_OK
+    (row,) = json.loads((tmp_path / "out" / "depth.json").read_text())["per_nv"]
+    assert row["boundary_minimum"] is True
+    assert row["d_t1_interval_nm"] is None
+    assert capsys.readouterr().out.splitlines() == [
+        f"depth: NV1 d_T1 = {row['d_t1_nm']:.2f} nm [empty]",
+        "depth: warning - NV1: minimum on search-box boundary",
+    ]
 
 
 def test_depth_reads_epsilon_scale(tmp_path, small_model, geometry):

@@ -257,14 +257,14 @@ class TestNodeSumMemo:
             return lorentzian(x, t, out=out)
 
         at_refinement = []
-        minimize = estimator.minimize
+        nelder_mead = estimator._nelder_mead
 
         def refine(*args, **kwargs):
             at_refinement.append(len(calls))
-            return minimize(*args, **kwargs)
+            return nelder_mead(*args, **kwargs)
 
         monkeypatch.setattr(bathspectrum, "_unit_lorentzian", counting)
-        monkeypatch.setattr(estimator, "minimize", refine)
+        monkeypatch.setattr(estimator, "_nelder_mead", refine)
         fit(problem, grid_points=32)
         # the 32-point θ grid brackets every 15° node: each (field, node) is
         # summed once, two Lorentzians (ω ∓ ω_NV) over one τ
@@ -313,6 +313,89 @@ class TestNodeSumMemo:
 
         with ThreadPoolExecutor(2) as pool:
             list(pool.map(work, range(2)))
+
+
+def _same_steps_as_scipy(f, x0):
+    """Run SciPy's Nelder–Mead and `_nelder_mead` from x0; assert equal bits.
+
+    Both must return the same x, bit for bit, after the same number of calls
+    to f.  Returns SciPy's result.
+    """
+    from scipy.optimize import minimize
+
+    calls = {"scipy": 0, "own": 0}
+
+    def counted(name):
+        def g(x):
+            calls[name] += 1
+            return f(x)
+
+        return g
+
+    want = minimize(
+        counted("scipy"),
+        x0.copy(),
+        method="Nelder-Mead",
+        options={"xatol": 1e-5, "fatol": 1e-12, "maxiter": 600},
+    )
+    got = estimator._nelder_mead(counted("own"), x0.copy())
+    assert got.tobytes() == want.x.tobytes(), (x0, got, want.x)
+    assert calls["own"] == calls["scipy"] == want.nfev, x0
+    return want
+
+
+class TestNelderMead:
+    """`_nelder_mead` takes SciPy's Nelder–Mead steps, bit for bit."""
+
+    @pytest.mark.parametrize("free", [("d_nv", "theta_e"), ("tau_e", "theta_e")])
+    def test_fit_objective(
+        self, free, small_model, geometry, nuisance_fixed, monkeypatch
+    ):
+        """The objectives and starts of a real fit, plus seeded starts."""
+        problem = TestNodeSumMemo.problem(small_model, geometry, nuisance_fixed, free)
+        runs = []
+        nelder_mead = estimator._nelder_mead
+
+        def record(f, x0):
+            runs.append((f, x0.copy()))
+            return nelder_mead(f, x0)
+
+        monkeypatch.setattr(estimator, "_nelder_mead", record)
+        fit(problem, grid_points=16)
+        monkeypatch.undo()
+        f = runs[0][0]
+        rng = np.random.default_rng(16)
+        starts = [x0 for _, x0 in runs] + list(rng.uniform(0.0, 1.0, (3, 2)))
+        starts.append(np.array([0.0, rng.uniform()]))
+        for x0 in starts:
+            _same_steps_as_scipy(f, x0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rosenbrock_and_rounded_plateau(self, n):
+        """Plain descent, and a landscape of ties that forces shrinks."""
+
+        def rosenbrock(x):
+            ridge = np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2)
+            return float(ridge + (x[0] - 0.3) ** 2)
+
+        def plateau(x):
+            return float(np.round(rosenbrock(x), 3))
+
+        rng = np.random.default_rng(n)
+        starts = list(rng.uniform(-2.0, 2.0, (4, n)))
+        starts.append(np.where(np.arange(n) == 0, 0.0, starts[0]))  # a zero coordinate
+        for f in (rosenbrock, plateau):
+            for x0 in starts:
+                _same_steps_as_scipy(f, x0)
+
+    def test_runs_to_the_iteration_cap(self):
+        """A tilted plane has no minimum: both stop after 600 iterations."""
+
+        def plane(x):
+            return float(x[0] + 2 * x[1])
+
+        want = _same_steps_as_scipy(plane, np.array([0.5, 1.0]))
+        assert want.nit == 600
 
 
 class TestFit:
