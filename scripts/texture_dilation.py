@@ -8,7 +8,6 @@ makes that hierarchy visible on the shipped lattice.
 """
 
 import argparse
-import math
 
 from spinbath.config import load_config
 from spinbath.constants import gauss_to_tesla
@@ -37,20 +36,17 @@ def main() -> None:
     ap.add_argument("--field", type=float, default=372.0, help="gauss")
     ap.add_argument("--scales", default="1.0,1.2,1.5,2.0",
                     help="comma list of lattice dilation factors")
-    ap.add_argument("--initial-tau-ns", type=float, default=2.0)
     args = ap.parse_args()
 
     cfg = load_config(args.config)
     gamma_e = cfg.constants.gamma_e
     base = cfg.lattice_model()
-    theta = cfg.lattice_theta_e()
     spectrum = isotope_family_spectrum(
-        cfg.spin_spec(gauss_to_tesla(args.field), theta), **cfg.spectrum_args()
+        cfg.spin_spec(gauss_to_tesla(args.field)), **cfg.spectrum_args()
     )
     scales = [float(s) for s in args.scales.split(",")]
 
-    print(f"# B = {args.field:g} G, Theta(stack axis, field) = "
-          f"{math.degrees(theta):.2f} deg")
+    print(f"# B = {args.field:g} G, theta_e = {cfg.hyperfine.theta_e_deg:.2f} deg")
     print(f"{'s':>5} {'s^3':>7} {'no-hf (ns)':>11} {'full (ns)':>10} "
           f"{'coinc (ns)':>11} {'full(s)/full(1)':>16}")
     full_ref = None
@@ -59,9 +55,7 @@ def main() -> None:
         nh = no_hyperfine_tau(lat, gamma_e=gamma_e)
         dl = delta_approx_tau(lat, spectrum, gamma_e=gamma_e)
         try:
-            rep = solve_tau_self_consistent(
-                lat, spectrum, args.initial_tau_ns * 1e-9, gamma_e=gamma_e
-            )
+            rep = solve_tau_self_consistent(lat, spectrum, gamma_e=gamma_e)
         except ConvergenceError as exc:
             print(f"{s:5.2f}  solve did not converge ({exc})")
             continue

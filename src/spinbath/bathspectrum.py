@@ -237,7 +237,7 @@ def electron_only_spectrum(
 
     omega0 = gamma_e * (g_factor / G_E) * b_field
     comp = IsotopeSpectrum(
-        isotope=Isotope("e", 1.0, 1.0, 0.0),
+        isotope=Isotope("e", 1.0, 1.0),
         omega=np.array([-omega0, omega0]),
         eta=np.array([0.25, 0.25]),
         m_states=1,

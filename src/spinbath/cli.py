@@ -10,7 +10,7 @@ fit        Landscape + local-minima fit of (tau_e, theta_e) or
            (d_nv, theta_e) against a measurement table.
 tau-ee     No-hyperfine / delta-approximation / full self-consistent
            electron-electron correlation-time solves with a bracketing
-           verdict.
+           verdict; the full solve starts at the no-hyperfine bound.
 depth      Per-NV depth estimate d_T1 with confidence interval, plus an
            optional join against reference depths.
 decay-fit  Stretched-exponential fit of a single relaxation trace.
@@ -21,8 +21,9 @@ timestamp honours SOURCE_DATE_EPOCH so full byte-reproducibility is
 available when that is pinned.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
-non-convergence, 5 unidentifiable fit, 7 converged but ambiguous
-(multiple minima; `fit` only).
+failure (a fixed point that does not converge, or `eigh` failing), 5
+unidentifiable fit, 7 converged but ambiguous (multiple minima; `fit`
+only).  Each error prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -247,11 +248,10 @@ def cmd_t1(run: _Run) -> int:
         return EXIT_OK
 
     tau_e = cfg.bath.tau_e_ns * 1e-9
-    theta = math.radians(cfg.hyperfine.theta_e_deg)
     nv = cfg.nv_config()
     model_rate: dict[float, float] = {}
     for b in sorted({r.b_gauss for r in records}):
-        model = cfg.bath_model(gauss_to_tesla(b), tau_e, theta)
+        model = cfg.bath_model(gauss_to_tesla(b), tau_e)
         model_rate[b] = relaxation_rate(model, nv, gauss_to_tesla(b))
 
     rows = []
@@ -320,7 +320,7 @@ def cmd_fit(run: _Run) -> int:
     free = tuple(s.strip() for s in run.args.free.split(",") if s.strip())
     # validate before the θ-cache build, which dominates a cold fit
     try:
-        check_free(free, len(records))
+        check_free(free, records)
     except ValueError as exc:
         raise ConfigError(f"--free: {exc}") from None
     grid = _grid_points(run, cfg)
@@ -379,8 +379,6 @@ def cmd_tau_ee(run: _Run) -> int:
 
     cfg = run.load_config()
     lattice = cfg.lattice_model()
-    theta = cfg.lattice_theta_e()
-    initial = run.args.initial_tau_ns * 1e-9
     gamma_e = cfg.constants.gamma_e
     tau_nh = no_hyperfine_tau(lattice, gamma_e=gamma_e)
 
@@ -388,11 +386,9 @@ def cmd_tau_ee(run: _Run) -> int:
     orderings = []
     for b in cfg.bath.fields_gauss:
         spectrum = isotope_family_spectrum(
-            cfg.spin_spec(gauss_to_tesla(b), theta), **cfg.spectrum_args()
+            cfg.spin_spec(gauss_to_tesla(b)), **cfg.spectrum_args()
         )
-        report = solve_tau_self_consistent(
-            lattice, spectrum, initial_tau=initial, gamma_e=gamma_e
-        )
+        report = solve_tau_self_consistent(lattice, spectrum, gamma_e=gamma_e)
         tau_delta = delta_approx_tau(lattice, spectrum, gamma_e=gamma_e)
         ordered = tau_nh <= report.tau_e <= tau_delta
         orderings.append(ordered)
@@ -413,7 +409,7 @@ def cmd_tau_ee(run: _Run) -> int:
     in_band = [lo <= t <= hi for t in full_ns]
     verdict = "bracketed" if all(orderings) else "ordering violated"
     payload = {
-        "theta_e_deg": math.degrees(theta),
+        "theta_e_deg": cfg.hyperfine.theta_e_deg,
         "tau_no_hyperfine_ns": tau_nh * 1e9,
         "per_field": per_field,
         "bracketing_verdict": verdict,
@@ -670,7 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tau-ee", help="self-consistent electron-electron tau_e")
     common(p)
-    p.add_argument("--initial-tau-ns", type=_number(above=True), default=2.0)
 
     p = sub.add_parser("depth", help="per-NV depth from detuned-field records")
     common(p)

@@ -11,7 +11,9 @@ default is the key's default (no default: the key is required) and its
 metadata names the parser that checks the value.  Unknown keys, wrong
 types and non-finite numbers raise ConfigError with the offending key
 path, e.g. "geometry.d_nv_nm: must be >= 0.1, got -3.0"; invalid YAML and
-a key repeated within one mapping raise it with the file's line.
+a key repeated within one mapping raise it with the file's line.  θ_e has
+one source, hyperfine.theta_e_deg; lattice.molecular_axis is checked
+against it at load.
 """
 
 from __future__ import annotations
@@ -289,6 +291,11 @@ class FitBlock:
             raise ConfigError(f"fit.bin_mhz: must be > 0, got {self.bin_mhz}")
 
 
+#: Largest accepted gap between hyperfine.theta_e_deg and the angle between
+#: lattice.molecular_axis and lattice.field_direction (degrees).
+THETA_E_TOL_DEG = 0.1
+
+
 @dataclass(frozen=True, kw_only=True)
 class ToolkitConfig:
     constants: ConstantsBlock = _key(_block(ConstantsBlock), ConstantsBlock())
@@ -298,6 +305,23 @@ class ToolkitConfig:
     bath: BathBlock = _key(_block(BathBlock), BathBlock())
     lattice: LatticeBlock = _key(_block(LatticeBlock), LatticeBlock())
     fit: FitBlock = _key(_block(FitBlock), FitBlock())
+
+    def __post_init__(self) -> None:
+        # θ_e is read from hyperfine.theta_e_deg alone; lattice vectors that
+        # imply another angle would describe a different film
+        m, f = self.lattice.molecular_axis, self.lattice.field_direction
+        if m is None or f is None:
+            return
+        norm_m, norm_f = math.hypot(*m), math.hypot(*f)
+        cosang = abs(sum(a / norm_m * (b / norm_f) for a, b in zip(m, f)))
+        implied = math.degrees(math.acos(min(cosang, 1.0)))
+        stated = self.hyperfine.theta_e_deg
+        if not abs(implied - stated) <= THETA_E_TOL_DEG:
+            raise ConfigError(
+                f"lattice.molecular_axis: lies {implied:.4f} deg from "
+                f"lattice.field_direction, but hyperfine.theta_e_deg is {stated:g}; "
+                f"they must agree within {THETA_E_TOL_DEG:g} deg"
+            )
 
     # ---- factories -------------------------------------------------------
 
@@ -320,7 +344,7 @@ class ToolkitConfig:
         from .spinmodel import Isotope
 
         return tuple(
-            Isotope(e.label, e.abundance, e.scale, 1.5) for e in self.hyperfine.isotopes
+            Isotope(e.label, e.abundance, e.scale) for e in self.hyperfine.isotopes
         )
 
     def spectrum_args(self) -> dict:
@@ -376,16 +400,6 @@ class ToolkitConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"lattice: {exc}") from exc
-
-    def lattice_theta_e(self) -> float:
-        """θ_e implied by the lattice block; falls back to the hyperfine block."""
-        lat = self.lattice
-        if lat.molecular_axis is not None and lat.field_direction is not None:
-            m = np.asarray(lat.molecular_axis, dtype=float)
-            f = np.asarray(lat.field_direction, dtype=float)
-            cosang = abs(m @ f) / (np.linalg.norm(m) * np.linalg.norm(f))
-            return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return math.radians(self.hyperfine.theta_e_deg)
 
     def nuisance_intervals(self) -> dict[str, tuple[float, tuple[float, float]]]:
         g = self.geometry

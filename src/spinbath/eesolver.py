@@ -26,7 +26,8 @@ gamma_e^2 * prefactor(S_{n,m}) = sum of squared D elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +46,7 @@ BACKGROUND_RATE_ROOM_T = 1.0 / 38e-9
 #: Fixed-point stopping tolerance: relative change between two iterates.
 _REL_TOL = 1e-10
 
-#: Iteration cap; the shipped lattice's solves take 30 to 45 iterations.
+#: Iteration cap; the shipped lattice's solves take 30 to 40 iterations.
 _MAX_ITER = 200
 
 
@@ -87,14 +88,6 @@ class LatticeModel:
                 f"nearest-neighbor distance {nn:.3e} m"
             )
 
-    def with_cutoff(self, cutoff: float) -> "LatticeModel":
-        return LatticeModel(
-            cell=self.cell,
-            sites=self.sites,
-            field_dir=self.field_dir,
-            cutoff=cutoff,
-        )
-
 
 @dataclass(frozen=True)
 class TauSolveReport:
@@ -120,12 +113,12 @@ def _nearest_neighbor_distance(cell: np.ndarray, sites: np.ndarray) -> float:
     return float(best)
 
 
-def pair_geometry(lattice: LatticeModel) -> list[tuple[float, float]]:
-    """All (r_nm, Theta_nm) pairs within the cutoff of a reference site.
+def pair_geometry(lattice: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
+    """(r_nm, Theta_nm) arrays of all pairs within the cutoff of a reference site.
 
     Theta_nm is the angle between the inter-molecular vector and the field
-    axis.  Pairs are enumerated once per reference (inequivalent) site and
-    averaged over sites so a multi-site cell contributes per-molecule.
+    axis.  Pairs are enumerated once per reference (inequivalent) site, so
+    sums over them divide by the number of sites to count per molecule.
     """
     cell = lattice.cell
     # supercell extent: enough cells to cover the cutoff sphere
@@ -135,26 +128,17 @@ def pair_geometry(lattice: LatticeModel) -> list[tuple[float, float]]:
     grids = [np.arange(-e, e + 1) for e in extents]
     ii, jj, kk = np.meshgrid(*grids, indexing="ij")
     offsets = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
-    pairs: list[tuple[float, float]] = []
+    dists, thetas = [], []
     for s0 in lattice.sites:
         vecs = ((lattice.sites[None, :, :] + offsets[:, None, :]) - s0) @ cell
         vecs = vecs.reshape(-1, 3)
         dist = np.linalg.norm(vecs, axis=1)
         keep = (dist > 1e-15) & (dist <= lattice.cutoff)
         vecs, dist = vecs[keep], dist[keep]
-        cosang = np.clip(vecs @ fdir / dist, -1.0, 1.0)
-        # the union over reference sites: downstream sums divide by n_sites
-        pairs += zip(dist.tolist(), np.arccos(cosang).tolist())
-    if not pairs:
-        raise ValueError("empty pair list: cutoff too small for this cell")
-    return pairs
-
-
-def _pair_arrays(lattice: LatticeModel) -> tuple[np.ndarray, np.ndarray, int]:
-    pairs = pair_geometry(lattice)
-    r = np.array([p[0] for p in pairs])
-    theta = np.array([p[1] for p in pairs])
-    return r, theta, lattice.sites.shape[0]
+        dists.append(dist)
+        thetas.append(np.arccos(np.clip(vecs @ fdir / dist, -1.0, 1.0)))
+    # never empty: the cutoff is at least twice the nearest-neighbour distance
+    return np.concatenate(dists), np.concatenate(thetas)
 
 
 def dipolar_prefactor(
@@ -178,24 +162,6 @@ def flip_flop_factor(theta: float | np.ndarray) -> float | np.ndarray:
     """
     c2 = np.cos(2.0 * np.asarray(theta))
     return (5.0 - 6.0 * c2 + 9.0 * c2**2) / 4.0
-
-
-def dipolar_coupling(
-    r: float | np.ndarray, gamma_e: float = GAMMA_E
-) -> float | np.ndarray:
-    """sqrt(S(S+1)/3) * (mu0 hbar gamma_e^2 / 4 pi) / r^3, rad/s.
-
-    Scalar magnitude of the D matrix; multiply by (3 n_mu n_nu -
-    delta_mu_nu) for a specific element.
-    """
-    return (
-        np.sqrt(S_SPIN_FACTOR / 3.0)
-        * MU_0
-        * HBAR
-        * gamma_e**2
-        / (4.0 * np.pi)
-        / np.asarray(r) ** 3
-    )
 
 
 def _pair_weights(omega: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +206,8 @@ def _pair_weights(omega: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _geometry_sums(lattice: LatticeModel, gamma_e: float = GAMMA_E) -> tuple[float, float]:
-    r, theta, n_sites = _pair_arrays(lattice)
+    r, theta = pair_geometry(lattice)
+    n_sites = lattice.sites.shape[0]
     pref = dipolar_prefactor(r, gamma_e)
     qs_geom = float(np.sum(pref * quasi_static_factor(theta))) / n_sites
     ff_geom = float(np.sum(pref * flip_flop_factor(theta))) / n_sites
@@ -248,15 +215,13 @@ def _geometry_sums(lattice: LatticeModel, gamma_e: float = GAMMA_E) -> tuple[flo
 
 
 def solve_tau_self_consistent(
-    lattice: LatticeModel,
-    spectrum: TransitionSpectrum,
-    initial_tau: float,
-    gamma_e: float = GAMMA_E,
+    lattice: LatticeModel, spectrum: TransitionSpectrum, *, gamma_e: float = GAMMA_E
 ) -> TauSolveReport:
     """Damped fixed-point solve of the self-consistent tau_e equation.
 
-    Iterates tau <- (tau + 1 / rate(tau)) / 2 until two successive values
-    agree to `_REL_TOL`, with
+    Iterates tau <- (tau + 1 / rate(tau)) / 2 from the no-hyperfine bound
+    1 / (gamma_e sqrt(ff)) until two successive values agree to `_REL_TOL`,
+    with
 
         rate = gamma_e^2 [qs sum_a w_a L(omega_a)
                           + ff sum_ab w_a w_b (L(omega_a - omega_b) + L(omega_a + omega_b))]
@@ -265,13 +230,12 @@ def solve_tau_self_consistent(
     the bin grid (`_pair_weights`).  The report carries the relative
     change of tau_e when the pair-list cutoff is doubled.
     """
-    if initial_tau <= 0:
-        raise ValueError("initial_tau must be > 0")
     lines, weight = spectrum.binned()
     pair_omega, pair_weight = _pair_weights(lines, weight)
 
-    def one_solve(lat: LatticeModel, tau: float) -> tuple[float, int, float]:
+    def one_solve(lat: LatticeModel) -> tuple[float, int, float]:
         qs_geom, ff_geom = _geometry_sums(lat, gamma_e)
+        tau = 1.0 / (gamma_e * math.sqrt(ff_geom))
         for it in range(1, _MAX_ITER + 1):
             rate = gamma_e**2 * tau * (
                 qs_geom * float(weight @ _unit_lorentzian(lines, tau))
@@ -291,8 +255,8 @@ def solve_tau_self_consistent(
             f"last value {tau:.6g} s"
         )
 
-    tau, iters, resid = one_solve(lattice, initial_tau)
-    tau_wide, _, _ = one_solve(lattice.with_cutoff(2.0 * lattice.cutoff), tau)
+    tau, iters, resid = one_solve(lattice)
+    tau_wide, _, _ = one_solve(replace(lattice, cutoff=2.0 * lattice.cutoff))
     return TauSolveReport(
         tau_e=tau,
         iterations=iters,
@@ -305,11 +269,10 @@ def no_hyperfine_tau(lattice: LatticeModel, gamma_e: float = GAMMA_E) -> float:
     """tau when all transitions are assumed coincident (lower bound).
 
     1/tau = sqrt( sum_{m != n} sum_{mu,nu in {x,y}} (D^{n,m}_{mu,nu})^2 )
-    where the transverse block sum equals dipolar_coupling(r)^2 * F(Theta).
+          = gamma_e sqrt(ff),
+    ff being the flip-flop geometry sum of `_geometry_sums`.
     """
-    r, theta, n_sites = _pair_arrays(lattice)
-    rate_sq = np.sum(dipolar_coupling(r, gamma_e) ** 2 * flip_flop_factor(theta)) / n_sites
-    return float(1.0 / np.sqrt(rate_sq))
+    return 1.0 / (gamma_e * math.sqrt(_geometry_sums(lattice, gamma_e)[1]))
 
 
 def coincidence_weight(

@@ -19,12 +19,8 @@ class DataFormatError(SpinbathError):
     """Malformed input data file; message names the file and row."""
 
 
-class SpectrumError(SpinbathError):
-    """Eigensolver failure on a spin Hamiltonian."""
-
-
 class ConvergenceError(SpinbathError):
-    """An iterative solver failed to reach its tolerance."""
+    """A numerical solver failed: a fixed point missed its tolerance or `eigh` failed."""
 
 
 class UnidentifiableError(SpinbathError):

@@ -23,6 +23,7 @@ or θ_e fixed on an interval is sampled at the grid nodes it spans.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -31,7 +32,7 @@ import numpy as np
 from .bathspectrum import FilmGeometry, comb_sum, slab_b0_sq, unit_spectral_density
 from .constants import GAUSS_TO_TESLA
 from .errors import UnidentifiableError
-from .relaxometry import MeasurementSet, NvConfig, nv_frequency
+from .relaxometry import MeasurementSet, NvConfig, T1Record, delta_gamma, nv_frequency
 from .spinmodel import (
     CU_ISOTOPES,
     DEFAULT_BIN,
@@ -217,11 +218,15 @@ class ForwardModel:
         return np.asarray(b0_sq)[..., None] * self.unit_rates(tau, theta, fields)
 
 
-def check_free(free: tuple[str, ...], n_records: int | None = None) -> None:
+def check_free(
+    free: tuple[str, ...], records: Sequence[T1Record] | None = None
+) -> None:
     """Validate a free-parameter set; cheap enough to run before a cache build.
 
     Raises ValueError for unknown, repeated or too many names and, given the
-    record count, UnidentifiableError when the records cannot constrain them.
+    T1 records, UnidentifiableError when they cannot constrain the names:
+    fewer records than names, or ΔΓ₁ ≤ 0 at every record, which only the
+    limit b₀² → 0 (no film) fits.
     """
     for name in free:
         if name not in FITTABLE:
@@ -232,10 +237,15 @@ def check_free(free: tuple[str, ...], n_records: int | None = None) -> None:
         raise ValueError(f"repeated free parameter in {list(free)}")
     if len(free) > 2:
         raise ValueError("at most two free parameters are supported")
-    if n_records is not None and n_records < len(free):
+    if records is None:
+        return
+    if len(records) < len(free):
         raise UnidentifiableError(
-            f"{n_records} data point(s) cannot constrain {len(free)} free parameter(s)"
+            f"{len(records)} data point(s) cannot constrain "
+            f"{len(free)} free parameter(s)"
         )
+    if all(delta_gamma(r)[0] <= 0 for r in records):
+        raise UnidentifiableError("ΔΓ₁ <= 0 at every record: the film shortens no T1")
 
 
 @dataclass(frozen=True)
@@ -457,7 +467,7 @@ def _nelder_mead(f, x0: np.ndarray) -> np.ndarray:
 def fit(problem: FitProblem, grid_points: int = DEFAULT_GRID) -> FitResult:
     """Deterministic grid scan + Nelder–Mead refinement of every basin."""
     free = problem.free
-    check_free(free, len(problem.data.records))
+    check_free(free, problem.data.records)
 
     grids = [_param_grid(problem, name, grid_points) for name in free]
     field_idx = problem._field_indices()

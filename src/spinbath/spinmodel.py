@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import HBAR, MU_B
-from .errors import SpectrumError
+from .errors import ConvergenceError
 
 DEFAULT_ETA_FLOOR = 1e-12
 # Transitions between states closer than this (rad/s) count as degenerate
@@ -51,6 +51,9 @@ DEGENERACY_FLOOR = 2.0 * np.pi * 1.0
 #: Lorentzians narrow towards the bin width: 3.1e-5 at 10 ns, 1.6e-4 at
 #: 30 ns and 9.9e-4 at 100 ns, the top of the default fit box.
 DEFAULT_BIN = 2.0 * np.pi * 1e6
+#: Nuclear spins of copper (63Cu and 65Cu alike) and nitrogen (14N).
+CU_SPIN = 1.5
+N_SPIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -82,14 +85,13 @@ class Isotope:
     label: str
     abundance: float
     scale: float  # hyperfine scale factor relative to the reference (63Cu) tensor
-    spin: float = 1.5
 
 
 #: Natural-abundance copper isotope table; 65Cu couplings scale with its
 #: larger nuclear gyromagnetic ratio.
 CU_ISOTOPES: tuple[Isotope, ...] = (
-    Isotope("63Cu", 0.6915, 1.0, 1.5),
-    Isotope("65Cu", 0.3085, 1.07, 1.5),
+    Isotope("63Cu", 0.6915, 1.0),
+    Isotope("65Cu", 0.3085, 1.07),
 )
 
 #: Reference hyperfine tensors (63Cu).  The nitrogen unique axis lies along
@@ -109,7 +111,6 @@ class SpinSystemSpec:
     cu_tensor: HyperfineTensor = CU_TENSOR
     n_tensor: HyperfineTensor = N_TENSOR
     isotope: Isotope = CU_ISOTOPES[0]
-    n_spin: float = 1.0
     n_nitrogens: int = 4
 
     def __post_init__(self) -> None:
@@ -121,17 +122,12 @@ class SpinSystemSpec:
         # multiplicities that the (I_a, I_b) blocks do not weight
         if not 0 <= self.n_nitrogens <= 4:
             raise ValueError("n_nitrogens must lie in [0, 4]")
-        for s in (self.isotope.spin, self.n_spin):
-            if s < 0 or abs(2 * s - round(2 * s)) > 1e-9:
-                raise ValueError(f"invalid spin quantum number {s}")
 
     def with_isotope(self, isotope: Isotope) -> "SpinSystemSpec":
         return replace(self, isotope=isotope)
 
     def hilbert_dimension(self) -> int:
-        dim_cu = int(round(2 * self.isotope.spin + 1))
-        dim_n = int(round(2 * self.n_spin + 1))
-        return 2 * dim_cu * dim_n**self.n_nitrogens
+        return 2 * int(2 * CU_SPIN + 1) * int(2 * N_SPIN + 1) ** self.n_nitrogens
 
 
 @dataclass(frozen=True)
@@ -263,10 +259,10 @@ def _lab_hyperfine_tensors(spec: SpinSystemSpec) -> list[tuple[float, np.ndarray
     which swaps the x and y principal values.
     """
     cu = spec.cu_tensor.scaled(spec.isotope.scale)
-    out = [(spec.isotope.spin, rotate_tensor(cu, spec.theta_e))]
+    out = [(CU_SPIN, rotate_tensor(cu, spec.theta_e))]
     for k in range(spec.n_nitrogens):
         t = spec.n_tensor if k % 2 == 0 else spec.n_tensor.swapped_inplane()
-        out.append((spec.n_spin, rotate_tensor(t, spec.theta_e)))
+        out.append((N_SPIN, rotate_tensor(t, spec.theta_e)))
     return out
 
 
@@ -365,8 +361,8 @@ def transition_spectrum(
         h = _assemble_hamiltonian(spec, sites)
         try:
             evals, evecs = np.linalg.eigh(h)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-            raise SpectrumError(f"eigensolver failed: {exc}") from exc
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigensolver failed: {exc}") from exc
 
         dim = h.shape[0]
         # S_x = 1/2 [[0, 1], [1, 0]] on the electron blocks, so with the

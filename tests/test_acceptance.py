@@ -252,7 +252,7 @@ def test_criterion_06_tau_bracketing_and_dilation(tmp_path, shipped_config):
         )
 
     spectrum = isotope_family_spectrum(
-        cfg.spin_spec(gauss_to_tesla(372.0), cfg.lattice_theta_e()),
+        cfg.spin_spec(gauss_to_tesla(372.0)),
         isotopes=cfg.isotopes(),
         eta_floor=cfg.hyperfine.eta_floor,
     )
@@ -267,8 +267,8 @@ def test_criterion_06_tau_bracketing_and_dilation(tmp_path, shipped_config):
     )
     # the motionally narrowed full solve must dilute at least as fast
     s = 1.5
-    rep_base = solve_tau_self_consistent(base, spectrum, 2e-9)
-    rep_dila = solve_tau_self_consistent(dilated(s), spectrum, 2e-9)
+    rep_base = solve_tau_self_consistent(base, spectrum)
+    rep_dila = solve_tau_self_consistent(dilated(s), spectrum)
     ratio = rep_dila.tau_e / rep_base.tau_e
     elapsed = time.monotonic() - t0
     print(

@@ -155,7 +155,7 @@ def test_tau_ee_uses_config_gamma_e(tmp_path, shipped_config):
     cfg = shipped_config
     lattice = cfg.lattice_model()
     spectrum = isotope_family_spectrum(
-        cfg.spin_spec(gauss_to_tesla(721.0), cfg.lattice_theta_e()),
+        cfg.spin_spec(gauss_to_tesla(721.0)),
         isotopes=cfg.isotopes(),
         eta_floor=cfg.hyperfine.eta_floor,
     )
@@ -166,6 +166,34 @@ def test_tau_ee_uses_config_gamma_e(tmp_path, shipped_config):
     assert payload["per_field"][0]["tau_delta_ns"] == pytest.approx(
         ratio * delta_approx_tau(lattice, spectrum) * 1e9, rel=1e-12
     )
+
+
+def test_tau_ee_reads_theta_e_from_hyperfine(tmp_path, shipped_config):
+    """hyperfine.theta_e_deg is the one θ_e of tau-ee, as of every command."""
+    tree = yaml.safe_load(CONFIG_PATH.read_text())
+    tree["bath"]["fields_gauss"] = [721.0]
+    path = tmp_path / "one-field.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    assert run_cli("tau-ee", "--config", path, "--out", tmp_path) == EXIT_OK
+    payload = json.loads((tmp_path / "tau_ee.json").read_text())
+    assert payload["theta_e_deg"] == shipped_config.hyperfine.theta_e_deg
+
+
+def test_molecular_axis_off_theta_e_is_one_line_config_error(tmp_path, capsys):
+    """A molecular axis turned 1° away from the field no longer matches theta_e_deg."""
+    tree = yaml.safe_load(CONFIG_PATH.read_text())
+    lat = tree["lattice"]
+    m, f = np.array(lat["molecular_axis"]), np.array(lat["field_direction"])
+    m, f = m / np.linalg.norm(m), f / np.linalg.norm(f)
+    away = (m - (m @ f) * f) / np.linalg.norm(m - (m @ f) * f)
+    turn = np.radians(1.0)
+    lat["molecular_axis"] = (np.cos(turn) * m + np.sin(turn) * away).tolist()
+    path = tmp_path / "turned.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    assert run_cli("tau-ee", "--config", path, "--out", tmp_path) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: lattice.molecular_axis:") and err.count("\n") == 1
+    assert "lattice.field_direction" in err and "hyperfine.theta_e_deg" in err
 
 
 def test_t1_malformed_csv_is_data_error(tmp_path):
@@ -466,9 +494,8 @@ def no_config_load(monkeypatch):
             ],
         ),
         ("spectrum", "--sweep", [["nan,800,3"], ["200,nan,3"], ["200,inf,3"]]),
-        ("tau-ee", "--initial-tau-ns", [["0"], ["-1"], ["nan"]]),
     ],
-    ids=["field", "theta-e-deg", "tau-e-ns", "points", "omega", "sweep", "initial-tau-ns"],
+    ids=["field", "theta-e-deg", "tau-e-ns", "points", "omega", "sweep"],
 )
 def test_bad_cli_number_exits_2_with_one_line(
     command, flag, bad_values, tmp_path, no_config_load, capsys
@@ -547,6 +574,64 @@ def test_seed_flag_is_gone(tmp_path, no_config_load):
     assert exc.value.code == EXIT_CONFIG
 
 
+def test_initial_tau_flag_is_gone(tmp_path, no_config_load):
+    """tau-ee starts its solve at the no-hyperfine bound; no flag picks the start."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "tau-ee", "--config", CONFIG_PATH, "--out", tmp_path, "--initial-tau-ns", "2"
+        )
+    assert exc.value.code == EXIT_CONFIG
+
+
+def test_import_loads_no_numpy():
+    """`_apply_thread_cap` pins BLAS only if numpy is not yet loaded when it runs."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    probe = "import sys, spinbath, spinbath.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_every_error_type_has_its_exit_code(tmp_path, monkeypatch, capsys):
+    """Each SpinbathError subclass raised in a command exits with its code, one line."""
+    import spinbath.cli as cli
+    from spinbath import errors
+
+    codes = {
+        errors.ConfigError: EXIT_CONFIG,
+        errors.DataFormatError: EXIT_DATA,
+        errors.ConvergenceError: EXIT_NO_CONVERGENCE,
+        errors.UnidentifiableError: EXIT_UNIDENTIFIABLE,
+    }
+    assert set(errors.SpinbathError.__subclasses__()) == set(codes)
+    for kind, want in codes.items():
+
+        def fail(run, kind=kind):
+            raise kind("planted")
+
+        monkeypatch.setitem(cli._COMMANDS, "spectrum", fail)
+        code = run_cli("spectrum", "--config", CONFIG_PATH, "--out", tmp_path)
+        assert code == want, kind
+        err = capsys.readouterr().err
+        assert err.endswith(": planted\n") and err.count("\n") == 1, (kind, err)
+
+
+def test_eigensolver_failure_is_convergence_error(tmp_path, monkeypatch, capsys):
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code = run_cli("spectrum", "--config", CONFIG_PATH, "--out", tmp_path, "--points", 5)
+    assert code == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err == "convergence error: eigensolver failed: Eigenvalues did not converge\n"
+
+
 def test_worker_count_parses_and_caps():
     assert _worker_count("", 3) == 3  # unset: one thread per usable CPU
     assert _worker_count(" 2 ", 4) == 2
@@ -595,7 +680,7 @@ def test_fit_bytes_same_on_one_and_two_threads(tmp_path, small_model, geometry):
 
 
 def test_depth_prints_empty_region_and_boundary_warning(tmp_path, capsys):
-    """ΔΓ₁ < 0 at both fields: no depth fits, and the minimum is on the box edge."""
+    """ΔΓ₁ near 0 and below it: no depth fits, and the minimum is on the box edge."""
     tree = yaml.safe_load(CONFIG_PATH.read_text())
     tree["fit"]["theta_step_deg"] = 45.0
     config = tmp_path / "coarse.yaml"
@@ -603,7 +688,7 @@ def test_depth_prints_empty_region_and_boundary_warning(tmp_path, capsys):
     data = tmp_path / "t1.csv"
     data.write_text(
         "nv_id,b_gauss,t1_cupc_us,t1_cupc_sigma_us,t1_free_us,t1_free_sigma_us\n"
-        "NV1,231.0,5200,100,5000,100\n"
+        "NV1,231.0,4990,100,5000,100\n"
         "NV1,721.0,5300,100,5000,100\n"
     )
     code = run_cli(
@@ -618,6 +703,45 @@ def test_depth_prints_empty_region_and_boundary_warning(tmp_path, capsys):
         f"depth: NV1 d_T1 = {row['d_t1_nm']:.2f} nm [empty]",
         "depth: warning - NV1: minimum on search-box boundary",
     ]
+
+
+#: ΔΓ₁ < 0 at both fields: the film shortens no T1.
+_NO_FILM_TABLE = (
+    "nv_id,b_gauss,t1_cupc_us,t1_cupc_sigma_us,t1_free_us,t1_free_sigma_us\n"
+    "NV1,231.0,5200,100,5000,100\n"
+    "NV1,721.0,5300,100,5000,100\n"
+)
+
+
+def test_fit_nonpositive_delta_gamma_fails_before_cache(tmp_path, no_cache_build, capsys):
+    data = tmp_path / "t1.csv"
+    data.write_text(_NO_FILM_TABLE)
+    code = run_cli("fit", "--config", CONFIG_PATH, "--out", tmp_path, "--data", data)
+    assert code == EXIT_UNIDENTIFIABLE
+    err = capsys.readouterr().err
+    assert err == "unidentifiable: ΔΓ₁ <= 0 at every record: the film shortens no T1\n"
+
+
+def test_depth_marks_nonpositive_delta_gamma_nv_unidentifiable(tmp_path, capsys):
+    """The only NV is unidentifiable, so depth writes its row and exits 5."""
+    tree = yaml.safe_load(CONFIG_PATH.read_text())
+    tree["fit"]["theta_step_deg"] = 45.0
+    config = tmp_path / "coarse.yaml"
+    config.write_text(yaml.safe_dump(tree))
+    data = tmp_path / "t1.csv"
+    data.write_text(_NO_FILM_TABLE)
+    out = tmp_path / "out"
+    code = run_cli("depth", "--config", config, "--out", out, "--data", data, "--grid", "8")
+    assert code == EXIT_UNIDENTIFIABLE
+    (row,) = json.loads((out / "depth.json").read_text())["per_nv"]
+    assert row == {
+        "nv_id": "NV1",
+        "identifiable": False,
+        "reason": "ΔΓ₁ <= 0 at every record: the film shortens no T1",
+    }
+    assert capsys.readouterr().err == (
+        "unidentifiable: depth: no NV yielded an identifiable fit\n"
+    )
 
 
 def test_depth_reads_epsilon_scale(tmp_path, small_model, geometry):

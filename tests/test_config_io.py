@@ -93,10 +93,7 @@ class TestDefaultsMatchLibrary:
         isotopes = defaults.isotopes()
         assert [i.label for i in isotopes] == [i.label for i in CU_ISOTOPES]
         for got, want in zip(isotopes, CU_ISOTOPES, strict=True):
-            self.close(
-                [got.abundance, got.scale, got.spin],
-                [want.abundance, want.scale, want.spin],
-            )
+            self.close([got.abundance, got.scale], [want.abundance, want.scale])
         self.close(defaults.spectrum_args()["eta_floor"], DEFAULT_ETA_FLOOR)
 
     def test_nv(self, defaults):
@@ -163,11 +160,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"lattice\.field_direction"):
             parse_config(tree)
 
-    def test_theta_from_lattice_vectors(self, shipped_config):
-        """The angle between molecular axis and field matches the scalar."""
-        theta = shipped_config.lattice_theta_e()
-        stated = np.radians(shipped_config.hyperfine.theta_e_deg)
-        assert abs(theta - stated) < np.radians(0.1)
+    @staticmethod
+    def turned_axis(tree, turn_deg):
+        """lattice.molecular_axis turned away from the field by `turn_deg`."""
+        lat = tree["lattice"]
+        m, f = np.array(lat["molecular_axis"]), np.array(lat["field_direction"])
+        m, f = m / np.linalg.norm(m), f / np.linalg.norm(f)
+        away = m - (m @ f) * f
+        away /= np.linalg.norm(away)
+        turn = np.radians(turn_deg)
+        return (np.cos(turn) * m + np.sin(turn) * away).tolist()
+
+    def test_theta_from_lattice_vectors(self):
+        """molecular_axis must lie theta_e_deg from field_direction, within 0.1 deg."""
+        tree = shipped_tree()
+        near, far = self.turned_axis(tree, 0.05), self.turned_axis(tree, 1.0)
+        tree["lattice"]["molecular_axis"] = near
+        parse_config(tree)
+        tree["lattice"]["molecular_axis"] = far
+        with pytest.raises(ConfigError) as exc:
+            parse_config(tree)
+        message = str(exc.value)
+        assert message.startswith("lattice.molecular_axis:")
+        assert "lattice.field_direction" in message
+        assert "hyperfine.theta_e_deg" in message
 
 
 def _key_paths(node, prefix=()):
@@ -234,7 +250,6 @@ class TestConfigFuzz:
             cfg.spin_spec(b_gauss * 1e-4)
         cfg.isotopes(), cfg.film_geometry(), cfg.nv_config()
         cfg.fit_boxes(), cfg.nuisance_intervals()
-        assert math.isfinite(cfg.lattice_theta_e())
         try:
             cfg.lattice_model()
         except ConfigError:

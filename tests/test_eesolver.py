@@ -1,15 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import line_list_tau, pair_spectral_density
-from spinbath.bathspectrum import electron_only_spectrum
-from spinbath.constants import GAMMA_E, GAUSS_TO_TESLA
+from spinbath.bathspectrum import S_SPIN_FACTOR, electron_only_spectrum
+from spinbath.constants import GAMMA_E, GAUSS_TO_TESLA, HBAR, MU_0
 from spinbath.eesolver import (
     LatticeModel,
     coincidence_weight,
     delta_approx_tau,
-    dipolar_coupling,
     dipolar_prefactor,
     flip_flop_factor,
     no_hyperfine_tau,
@@ -97,27 +98,28 @@ class TestDipolarScaling:
             dipolar_prefactor(2e-9), dipolar_prefactor(1e-9) / 64.0, rtol=1e-12
         )
 
-    def test_coupling_inverse_cube(self):
-        np.testing.assert_allclose(
-            dipolar_coupling(2e-9), dipolar_coupling(1e-9) / 8.0, rtol=1e-12
-        )
+    @pytest.mark.parametrize("theta", [0.0, 0.7, np.pi / 2])
+    def test_no_hyperfine_is_transverse_dipolar_norm(self, theta):
+        """1/tau_nh = sqrt(sum over x, y of D_mu_nu^2), D built element by element.
 
-    def test_prefactor_is_coupling_squared_over_gamma_sq(self):
-        r = 1.7e-9
-        np.testing.assert_allclose(
-            dipolar_prefactor(r) * GAMMA_E**2, dipolar_coupling(r) ** 2, rtol=1e-12
+        D_mu_nu = sqrt(S(S+1)/3) (mu0 hbar gamma_e^2 / 4 pi) (3 n_mu n_nu -
+        delta_mu_nu) / r^3; each molecule of the toy pair has one neighbour.
+        """
+        r = 1.2e-9
+        n = np.array([np.sin(theta), 0.0, np.cos(theta)])
+        d = (
+            np.sqrt(S_SPIN_FACTOR / 3.0) * MU_0 * HBAR * GAMMA_E**2 / (4.0 * np.pi * r**3)
+            * (3.0 * np.outer(n, n) - np.eye(3))
         )
+        rate = np.sqrt(np.sum(d[:2, :2] ** 2))
+        assert no_hyperfine_tau(toy_lattice(r, theta)) == pytest.approx(1.0 / rate, rel=1e-12)
 
 
 class TestPairGeometry:
     def test_toy_pair_list(self):
-        pairs = pair_geometry(toy_lattice(1.2e-9, 0.7))
-        assert len(pairs) == 2
-        for r, theta in pairs:
-            assert r == pytest.approx(1.2e-9, rel=1e-12)
-        angles = sorted(p[1] for p in pairs)
-        assert angles[0] == pytest.approx(0.7, abs=1e-12)
-        assert angles[1] == pytest.approx(np.pi - 0.7, abs=1e-12)
+        r, theta = pair_geometry(toy_lattice(1.2e-9, 0.7))
+        np.testing.assert_allclose(r, [1.2e-9, 1.2e-9], rtol=1e-12)
+        np.testing.assert_allclose(np.sort(theta), [0.7, np.pi - 0.7], atol=1e-12)
 
     def test_simple_cubic_shell_counts(self):
         a = 1e-9
@@ -127,8 +129,7 @@ class TestPairGeometry:
             field_dir=np.array([0.0, 0.0, 1.0]),
             cutoff=2.05 * a,
         )
-        pairs = pair_geometry(lat)
-        r = np.array([p[0] for p in pairs])
+        r, _ = pair_geometry(lat)
         # shells: 6 at a, 12 at sqrt2 a, 8 at sqrt3 a, 6 at 2a
         assert r.size == 32
         for dist, count in ((1.0, 6), (np.sqrt(2), 12), (np.sqrt(3), 8), (2.0, 6)):
@@ -136,7 +137,7 @@ class TestPairGeometry:
 
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
-            toy_lattice(1.2e-9, 0.7).with_cutoff(1.5e-9)
+            replace(toy_lattice(1.2e-9, 0.7), cutoff=1.5e-9)
 
     def test_degenerate_cell_rejected(self):
         with pytest.raises(ValueError):
@@ -193,7 +194,7 @@ class TestPairSpectralDensity:
         """
         r, theta = 1.2e-9, 0.7
         lat = toy_lattice(r, theta)
-        rep = solve_tau_self_consistent(lat, ELECTRON_SPEC, 1e-9)
+        rep = solve_tau_self_consistent(lat, ELECTRON_SPEC)
         omega, weight = ELECTRON_SPEC.merged()
         rate = GAMMA_E**2 * sum(
             w * pair_spectral_density((r, theta), rep.tau_e, ELECTRON_SPEC, om)
@@ -233,28 +234,22 @@ class TestSelfConsistentSolve:
         at these pairs' tau of 9-19 ns.
         """
         r = 1.2e-9
-        rep = solve_tau_self_consistent(toy_lattice(r, theta), ELECTRON_SPEC, 1e-9)
+        rep = solve_tau_self_consistent(toy_lattice(r, theta), ELECTRON_SPEC)
         np.testing.assert_allclose(
             rep.tau_e, poly_root_tau(r, theta, OMEGA0), rtol=5e-4
         )
 
     def test_report_fields(self):
-        rep = solve_tau_self_consistent(toy_lattice(1.2e-9, 0.7), ELECTRON_SPEC, 1e-9)
+        rep = solve_tau_self_consistent(toy_lattice(1.2e-9, 0.7), ELECTRON_SPEC)
         assert rep.residual < 1e-10
         # isolated pair: doubling the cutoff finds no new neighbours
         assert rep.cutoff_convergence < 1e-5
 
-    def test_initial_tau_validation(self):
-        with pytest.raises(ValueError):
-            solve_tau_self_consistent(toy_lattice(1.2e-9, 0.7), ELECTRON_SPEC, 0.0)
-
     @staticmethod
     def spectrum_721(cfg, n_nitrogens):
-        from dataclasses import replace
-
         from spinbath.spinmodel import isotope_family_spectrum
 
-        spec = cfg.spin_spec(721.0 * GAUSS_TO_TESLA, cfg.lattice_theta_e())
+        spec = cfg.spin_spec(721.0 * GAUSS_TO_TESLA)
         return isotope_family_spectrum(
             replace(spec, n_nitrogens=n_nitrogens), **cfg.spectrum_args()
         )
@@ -267,7 +262,7 @@ class TestSelfConsistentSolve:
         """
         lattice = shipped_config.lattice_model()
         spectrum = self.spectrum_721(shipped_config, 4)
-        rep = solve_tau_self_consistent(lattice, spectrum, 2e-9)
+        rep = solve_tau_self_consistent(lattice, spectrum)
         exact = line_list_tau(lattice, *spectrum.binned(), 0.99 * rep.tau_e, 1.01 * rep.tau_e)
         assert abs(rep.tau_e / exact - 1.0) <= 1e-6
 
@@ -280,27 +275,19 @@ class TestSelfConsistentSolve:
         """
         lattice = shipped_config.lattice_model()
         spectrum = self.spectrum_721(shipped_config, 2)
-        rep = solve_tau_self_consistent(lattice, spectrum, 2e-9)
+        rep = solve_tau_self_consistent(lattice, spectrum)
         raw = line_list_tau(lattice, *spectrum.merged(), 0.99 * rep.tau_e, 1.01 * rep.tau_e)
         assert abs(rep.tau_e / raw - 1.0) <= 1e-6
 
     def test_cutoff_convergence_is_the_doubled_cutoff_change(self, shipped_config):
         lattice = shipped_config.lattice_model()
         spectrum = self.spectrum_721(shipped_config, 4)
-        rep = solve_tau_self_consistent(lattice, spectrum, 2e-9)
-        wide = solve_tau_self_consistent(lattice.with_cutoff(2.0 * lattice.cutoff), spectrum, 2e-9)
+        rep = solve_tau_self_consistent(lattice, spectrum)
+        wide = solve_tau_self_consistent(replace(lattice, cutoff=2.0 * lattice.cutoff), spectrum)
         assert rep.cutoff_convergence > 1e-5
         assert rep.cutoff_convergence == pytest.approx(
             abs(wide.tau_e / rep.tau_e - 1.0), rel=1e-4
         )
-
-    def test_independent_of_start(self):
-        lat = toy_lattice(1.2e-9, 0.7)
-        taus = [
-            solve_tau_self_consistent(lat, ELECTRON_SPEC, t0).tau_e
-            for t0 in (1e-10, 1e-9, 1e-7)
-        ]
-        np.testing.assert_allclose(taus, taus[0], rtol=1e-5)
 
 
 class TestCoincidenceLimits:
@@ -369,10 +356,10 @@ class TestGammaE:
             cell=base.cell * s, sites=base.sites, field_dir=base.field_dir,
             cutoff=base.cutoff * s,
         )
-        got = solve_tau_self_consistent(base, ELECTRON_SPEC, 1e-9, gamma_e=self.GAMMA_2)
-        want = solve_tau_self_consistent(contracted, ELECTRON_SPEC, 1e-9)
+        got = solve_tau_self_consistent(base, ELECTRON_SPEC, gamma_e=self.GAMMA_2)
+        want = solve_tau_self_consistent(contracted, ELECTRON_SPEC)
         assert got.tau_e == pytest.approx(want.tau_e, rel=1e-9)
         assert got.tau_e != pytest.approx(
-            solve_tau_self_consistent(base, ELECTRON_SPEC, 1e-9).tau_e, rel=1e-2
+            solve_tau_self_consistent(base, ELECTRON_SPEC).tau_e, rel=1e-2
         )
 

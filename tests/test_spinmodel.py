@@ -11,6 +11,7 @@ from spinbath.spinmodel import (
     CU_ISOTOPES,
     CU_TENSOR,
     DEFAULT_BIN,
+    N_SPIN,
     N_TENSOR,
     HyperfineTensor,
     SpinSystemSpec,
@@ -234,7 +235,7 @@ def _pair_casimir(spec, members):
     """(I_k + I_l + ...)^2 for the listed nitrogens, on the full product space."""
     dims = [2] + [int(round(2 * s + 1)) for s, _ in _lab_hyperfine_tensors(spec)]
     casimir = 0.0
-    for op in spin_operators(spec.n_spin):
+    for op in spin_operators(N_SPIN):
         total = 0.0
         for k in members:
             factors = [op if site == 2 + k else np.eye(d) for site, d in enumerate(dims)]
