@@ -60,7 +60,7 @@ def _worker_count(text: str, cpus: int) -> int:
     text = text.strip()
     if not text:
         return cpus
-    if not text.isdigit() or int(text) < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise ValueError(f"SPINBATH_THREADS: expected a positive integer, got {text!r}")
     return min(int(text), cpus)
 
@@ -300,13 +300,14 @@ def _fixed_params(cfg, free: tuple[str, ...]) -> dict:
     return fixed
 
 
-def _landscape_rows(result):
+def _write_landscape(run: _Run, result) -> None:
+    """fit_landscape.csv: one row per searched grid point, the axes it names."""
     import numpy as np
 
     grids, obj = result.landscape
-    mesh = np.meshgrid(*grids, indexing="ij")
-    flat = [m.ravel() for m in mesh] + [obj.ravel()]
-    return zip(*flat)
+    mesh = np.meshgrid(*grids.values(), indexing="ij")
+    rows = zip(*[m.ravel() for m in mesh], obj.ravel())
+    run.write_csv("fit_landscape.csv", (*grids, "objective"), rows)
 
 
 def cmd_fit(run: _Run) -> int:
@@ -343,7 +344,7 @@ def cmd_fit(run: _Run) -> int:
     payload["n_records"] = len(records)
     payload["fields_gauss"] = fields
     run.write_json("fit.json", payload)
-    run.write_csv("fit_landscape.csv", free + ("objective",), _landscape_rows(result))
+    _write_landscape(run, result)
 
     best = result.best
     pretty = ", ".join(_pretty_param(k, v) for k, v in sorted(best.items()))
@@ -509,14 +510,9 @@ def cmd_depth(run: _Run) -> int:
             rows.append({"nv_id": nv_id, "identifiable": False, "reason": str(exc)})
             continue
         d_nm = result.best["d_nv"] * 1e9
-        # an empty region (no d_nv fits every record within ε) is null
-        intervals = result.confidence["d_nv"]
-        d_range = None
-        if intervals:
-            d_range = [
-                min(iv[0] for iv in intervals) * 1e9,
-                max(iv[1] for iv in intervals) * 1e9,
-            ]
+        # one exact interval; an empty region (no d_nv fits every record
+        # within ε) is null
+        d_range = next(([a * 1e9, b * 1e9] for a, b in result.confidence["d_nv"]), None)
         row = {
             "nv_id": nv_id,
             "identifiable": True,

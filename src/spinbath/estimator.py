@@ -11,14 +11,17 @@ between the nodes.  The depth and film nuisances (d_nv, h, n_e) enter only
 through the multiplier b₀², so a grid mesh and a single Nelder–Mead point
 are each one broadcast evaluation.
 
-Fitting is a deterministic coarse grid scan (64 points per free
-dimension) followed by Nelder–Mead refinement from every grid-local
-minimum; all surviving minima are reported, never auto-selected.  The
-confidence region is the set of grid points whose model prediction can be
-brought within ε of every data point by some value in the nuisance box.
+Fitting searches only τ_e and θ_e: a deterministic coarse grid scan (64
+points per searched dimension) followed by Nelder–Mead refinement from
+every grid-local minimum; all surviving minima are reported, never
+auto-selected.  A free d_nv is profiled out (variable projection, Golub &
+Pereyra 1973): b₀² takes its least-squares value at each searched point.
+The confidence region is the set of grid points whose model prediction can
+be brought within ε of every data point by some value in the nuisance box.
 b₀² is monotone in each of d_nv, h and n_e, so the box is one b₀²
 interval, and each grid point is tested against it in closed form; a τ_e
-or θ_e fixed on an interval is sampled at the grid nodes it spans.
+or θ_e fixed on an interval is sampled at the grid nodes it spans.  A free
+d_nv's region is exact: the depths that the accepted b₀² windows admit.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -290,16 +294,15 @@ class FitProblem:
         lookup = {b: i for i, b in enumerate(self.model.fields_gauss)}
         return np.array([lookup[r.b_gauss] for r in self.data.records])
 
+    @property
+    def searched(self) -> tuple[str, ...]:
+        """The free parameters on the grid and in the simplex: all but d_nv."""
+        return tuple(n for n in self.free if n != "d_nv")
+
     def fixed_value(self, name: str) -> float:
         if name in self.fixed:
             return self.fixed[name][0]
-        if name == "d_nv":
-            return self.geometry.d_nv
-        if name == "h":
-            return self.geometry.h
-        if name == "n_e":
-            return self.geometry.n_e
-        raise KeyError(name)
+        return getattr(self.geometry, name)
 
 
 def _value(problem: FitProblem, params: dict, name: str):
@@ -313,20 +316,33 @@ def _b0_sq(problem: FitProblem, params: dict):
     return slab_b0_sq(d_nv, h, n_e, gamma_e=problem.model.nv.gamma_e)
 
 
-def _model_prediction(
-    problem: FitProblem, params: dict, field_idx: np.ndarray
-) -> np.ndarray:
-    """ΔΓ₁^th at the records' fields for broadcastable parameter values.
+def _depth(problem: FitProblem, b0_sq: float, params: dict) -> float:
+    """The d_nv in its search box where b₀² at `params`' h and n_e is `b0_sq`.
 
-    Returns shape (..., n_records); parameters absent from `params` take
-    their fixed values.
+    b₀² falls as d_nv grows, so bisection narrows the box to adjacent
+    floats; a `b0_sq` outside the box's b₀² range gives the nearer edge.
     """
-    return problem.model.delta_gammas(
-        _value(problem, params, "tau_e"),
-        _value(problem, params, "theta_e"),
-        _b0_sq(problem, params),
-        fields=field_idx,
-    )
+    lo, hi = problem.box("d_nv")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _b0_sq(problem, params | {"d_nv": mid}) > b0_sq:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+def _box_corners(problem: FitProblem) -> tuple[dict, dict]:
+    """The (d_nv, h, n_e) corners of the nuisance box with least and most b₀².
+
+    b₀² falls as d_nv grows and rises with h and n_e.  A free d_nv spans its
+    search box, a fixed parameter its interval; `_b0_sq` reads any other
+    parameter's fixed value.
+    """
+    ends = {n: problem.fixed[n][1] for n in ("d_nv", "h", "n_e") if n in problem.fixed}
+    if "d_nv" in problem.free:
+        ends["d_nv"] = problem.box("d_nv")
+    ends = {n: e[::-1] if n == "d_nv" else e for n, e in ends.items()}
+    return tuple({n: e[i] for n, e in ends.items()} for i in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -335,7 +351,7 @@ class FitResult:
 
     minima: tuple[tuple[dict[str, float], float], ...]
     free: tuple[str, ...]
-    landscape: tuple  # (grids per free param, objective array)
+    landscape: tuple  # ({searched name: grid}, objective array)
     boundary_minimum: bool
     confidence: dict[str, list[tuple[float, float]]] | None = None
     #: 1-sigma curvature estimates at the global minimum (inf when the
@@ -345,10 +361,6 @@ class FitResult:
     @property
     def best(self) -> dict[str, float]:
         return self.minima[0][0]
-
-    @property
-    def best_objective(self) -> float:
-        return self.minima[0][1]
 
     @property
     def n_minima(self) -> int:
@@ -464,45 +476,66 @@ def _nelder_mead(f, x0: np.ndarray) -> np.ndarray:
     return sim[0]
 
 
-def fit(problem: FitProblem, grid_points: int = DEFAULT_GRID) -> FitResult:
-    """Deterministic grid scan + Nelder–Mead refinement of every basin."""
-    free = problem.free
-    check_free(free, problem.data.records)
+def _unit_cube(problem: FitProblem, names: tuple[str, ...]):
+    """(to, from, box): maps between values of `names` and the unit cube of
+    their boxes, τ_e on a log scale, and the (log mask, lo, hi) they use."""
+    log_mask = np.array([n == "tau_e" for n in names], dtype=bool)
 
-    grids = [_param_grid(problem, name, grid_points) for name in free]
-    field_idx = problem._field_indices()
-    exp, sig = problem.data.delta_gammas()
+    def scale(x):
+        return np.where(log_mask, np.log(np.where(log_mask, x, 1.0)), x)
 
-    def objective(vals):
-        """σ-normalized χ² at broadcastable free-parameter values."""
-        th = _model_prediction(problem, dict(zip(free, vals)), field_idx)
-        return np.sum(((exp - th) / sig) ** 2, axis=-1)
+    lo_i, hi_i = (scale(np.array([problem.box(n)[i] for n in names])) for i in (0, 1))
 
-    # the whole landscape is one broadcast over the sparse mesh
-    obj = objective(np.meshgrid(*grids, indexing="ij", sparse=True))
+    def to_unit(x):
+        return (scale(x) - lo_i) / (hi_i - lo_i)
 
-    spread = float(np.max(obj) - np.min(obj))
-    if not np.isfinite(spread) or spread < 1e-12 * (1.0 + float(np.min(obj))):
-        raise UnidentifiableError("objective is flat over the search box")
-
-    # refine every grid-local minimum; work in scaled coordinates
-    los = np.array([problem.box(n)[0] for n in free])
-    his = np.array([problem.box(n)[1] for n in free])
-    log_mask = np.array([n == "tau_e" for n in free])
-
-    lo_i = np.where(log_mask, np.log(np.where(log_mask, los, 1.0)), los)
-    hi_i = np.where(log_mask, np.log(np.where(log_mask, his, 1.0)), his)
-
-    def to_internal(x):
-        y = np.where(log_mask, np.log(np.where(log_mask, x, 1.0)), x)
-        return (y - lo_i) / (hi_i - lo_i)
-
-    def from_internal(u):
+    def from_unit(u):
         y = lo_i + np.clip(u, 0.0, 1.0) * (hi_i - lo_i)
         return np.where(log_mask, np.exp(y), y)
 
+    return to_unit, from_unit, (log_mask, lo_i, hi_i)
+
+
+def fit(problem: FitProblem, grid_points: int = DEFAULT_GRID) -> FitResult:
+    """Grid scan + Nelder–Mead refinement of every basin, b₀² profiled.
+
+    Only a free τ_e or θ_e is searched.  At each searched point b₀² takes its
+    least-squares value Σ e·u/σ² / Σ u²/σ², clipped to the d_nv box at the
+    nominal h and n_e (one point for a fixed d_nv); a free d_nv is read back
+    from a minimum's b₀².  The landscape is that χ² on the searched grid.
+    """
+    free, searched = problem.free, problem.searched
+    check_free(free, problem.data.records)
+
+    grids = [_param_grid(problem, name, grid_points) for name in searched]
+    field_idx = problem._field_indices()
+    exp, sig = problem.data.delta_gammas()
+    d_ends = problem.box("d_nv") if "d_nv" in free else [problem.fixed_value("d_nv")] * 2
+    b_lo, b_hi = (_b0_sq(problem, {"d_nv": d}) for d in d_ends[::-1])
+
+    def chi2(params: dict, b0_sq=None):
+        """σ-normalized χ² and its b₀² at broadcastable values, profiled if None."""
+        tau, theta = (_value(problem, params, n) for n in ("tau_e", "theta_e"))
+        unit = problem.model.unit_rates(tau, theta, field_idx)
+        if b0_sq is None:
+            w = unit / sig**2
+            # fmax takes b_lo for a 0/0
+            b0_sq = np.fmin(np.fmax((exp * w).sum(-1) / (unit * w).sum(-1), b_lo), b_hi)
+        th = np.asarray(b0_sq)[..., None] * unit
+        return np.sum(((exp - th) / sig) ** 2, axis=-1), b0_sq
+
+    # the whole landscape is one broadcast over the sparse mesh
+    obj = chi2(dict(zip(searched, np.meshgrid(*grids, indexing="ij", sparse=True))))[0]
+
+    spread = float(np.max(obj) - np.min(obj))
+    if not np.isfinite(spread) or searched and spread < 1e-12 * (1.0 + np.min(obj)):
+        raise UnidentifiableError("objective is flat over the search box")
+
+    # refine every grid-local minimum; work in scaled coordinates
+    to_unit, from_unit, _ = _unit_cube(problem, searched)
+
     def f_internal(u):
-        return float(objective(from_internal(u)))
+        return float(chi2(dict(zip(searched, from_unit(u))))[0])
 
     # cap refinement starts: genuine basins are few; plateaus can flood
     starts = _grid_local_minima(obj)
@@ -511,46 +544,47 @@ def fit(problem: FitProblem, grid_points: int = DEFAULT_GRID) -> FitResult:
 
     candidates = []
     for idx in starts:
-        x0 = np.array([grids[k][idx[k]] for k in range(len(free))])
-        u = np.clip(_nelder_mead(f_internal, to_internal(x0)), 0.0, 1.0)
-        candidates.append((from_internal(u), f_internal(u)))
+        u = to_unit(np.array([grids[k][i] for k, i in enumerate(idx)]))
+        if searched:
+            u = np.clip(_nelder_mead(f_internal, u), 0.0, 1.0)
+        x = from_unit(u)
+        value, b0_sq = chi2(dict(zip(searched, x)))
+        params = dict(zip(searched, x.tolist()))
+        if "d_nv" in free:
+            params["d_nv"] = _depth(problem, float(b0_sq), {})
+        candidates.append((x, float(value), {n: params[n] for n in free}))
 
     # deduplicate within 1% of the (internal) box per dimension
-    deduped: list[tuple[np.ndarray, float]] = []
-    for x, v in sorted(candidates, key=lambda c: c[1]):
-        dup = False
-        for x2, v2 in deduped:
-            if np.all(np.abs(to_internal(x) - to_internal(x2)) < 0.01):
-                dup = True
-                break
-        if not dup:
-            deduped.append((x, v))
+    deduped: list[tuple[np.ndarray, float, dict]] = []
+    for x, v, params in sorted(candidates, key=lambda c: c[1]):
+        u = to_unit(x)
+        if not any(np.all(np.abs(u - to_unit(x2)) < 0.01) for x2, *_ in deduped):
+            deduped.append((x, v, params))
     # drop shallow relicts: keep minima within a generous band of the best
     best_v = deduped[0][1]
     tol_keep = best_v + max(9.0, best_v)
-    kept = [(x, v) for x, v in deduped if v <= tol_keep]
+    minima = tuple((params, v) for _, v, params in deduped if v <= tol_keep)
 
-    boundary = False
-    for x, _ in kept[:1]:
-        u = to_internal(x)
-        if np.any(u < 1.0 / grid_points) or np.any(u > 1.0 - 1.0 / grid_points):
-            boundary = True
+    to_full, from_full, full = _unit_cube(problem, free)
+    u_best = to_full(np.array([minima[0][0][n] for n in free]))
+    edge = 1.0 / grid_points
+    boundary = bool(np.any(u_best < edge) or np.any(u_best > 1.0 - edge))
 
-    sigma = _curvature_sigma(
-        f_internal, to_internal(kept[0][0]), free, log_mask, lo_i, hi_i
-    )
-    minima = tuple((dict(zip(free, x.tolist())), v) for x, v in kept)
+    def f_full(u):
+        params = dict(zip(free, from_full(u)))
+        return float(chi2(params, _b0_sq(problem, params))[0])
+
     return FitResult(
         minima=minima,
         free=free,
-        landscape=(tuple(g.copy() for g in grids), obj),
+        landscape=(dict(zip(searched, grids)), obj),
         boundary_minimum=boundary,
-        param_sigma=sigma,
+        param_sigma=_curvature_sigma(f_full, u_best, free, full),
     )
 
 
 def _curvature_sigma(
-    f, u0: np.ndarray, free: tuple[str, ...], log_mask, lo_i, hi_i, step: float = 1e-3
+    f, u0: np.ndarray, free: tuple[str, ...], box: tuple, step: float = 1e-3
 ) -> dict[str, float]:
     """1-sigma parameter scales from the chi^2 Hessian (Delta-chi^2 = 1).
 
@@ -558,6 +592,7 @@ def _curvature_sigma(
     diagonal is mapped back through the (diagonal) internal->physical
     Jacobian.  Directions with non-positive curvature report inf.
     """
+    log_mask, lo_i, hi_i = box
     k = u0.size
     u = np.clip(u0, 2 * step, 1.0 - 2 * step)
     f0 = f(u)
@@ -589,18 +624,20 @@ def _curvature_sigma(
 
 def _accepted(
     problem: FitProblem, vals, epsilon_scale: float, grid_points: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whether some nuisance value brings every record strictly within ε.
 
-    `vals` are broadcastable values of the free parameters.  With rates u per
-    unit b₀², |e − b₀² u| < ε holds at every record for b₀² in
-    (max_k (e_k − ε_k)/u_k, min_k (e_k + ε_k)/u_k); a point is accepted when
-    that meets [b_min, b_max] of the (d_nv, h, n_e) box.  A τ_e or θ_e fixed
-    on an interval enters u non-linearly, so it is sampled at the sweep's
-    grid nodes inside it and at both edges, on a trailing axis of the one
-    `unit_rates` call.
+    `vals` are broadcastable values of the searched parameters.  With rates
+    u per unit b₀², |e − b₀² u| < ε holds at every record for b₀² in the
+    window (max_k (e_k − ε_k)/u_k, min_k (e_k + ε_k)/u_k); a point is
+    accepted when a window meets [b_min, b_max] of the (d_nv, h, n_e) box,
+    where a free d_nv spans its search box.  A τ_e or θ_e fixed on an
+    interval enters u non-linearly, so it is sampled at the sweep's grid
+    nodes inside it and at both edges, on a trailing axis of the one
+    `unit_rates` call.  Also returns each point's highest and lowest
+    accepted window end (−inf and inf where none is).
     """
-    params = dict(zip(problem.free, vals))
+    params = dict(zip(problem.searched, vals))
     sampled = [name for name in ("tau_e", "theta_e") if name not in params]
     pad = (1,) * len(sampled)
     params = {name: np.reshape(v, np.shape(v) + pad) for name, v in params.items()}
@@ -616,19 +653,14 @@ def _accepted(
     )
     low = np.max((exp - eps) / unit, axis=-1)
     high = np.min((exp + eps) / unit, axis=-1)
-    # b₀² falls as d_nv grows and rises with h and n_e, so its extremes over
-    # the box sit at two opposite corners: ends[n] = (n at b_min, n at b_max).
-    # A free d_nv in `params` overrides its ends.
-    ends = {
-        n: problem.fixed[n][1][:: -1 if n == "d_nv" else 1]
-        for n in ("d_nv", "h", "n_e")
-        if n in problem.fixed
-    }
-    b_min, b_max = (
-        _b0_sq(problem, {n: e[i] for n, e in ends.items()} | params) for i in (0, 1)
-    )
+    b_min, b_max = (_b0_sq(problem, corner) for corner in _box_corners(problem))
     ok = (low < high) & (low < b_max) & (b_min < high)
-    return np.any(ok, axis=tuple(range(-len(sampled), 0)))
+    samples = tuple(range(-len(sampled), 0))
+    return (
+        np.any(ok, axis=samples),
+        np.max(np.where(ok, high, -np.inf), axis=samples),
+        np.min(np.where(ok, low, np.inf), axis=samples),
+    )
 
 
 def confidence_region(
@@ -641,20 +673,22 @@ def confidence_region(
 
     ε per point is epsilon_scale × the experimental σ; `_accepted` tests the
     (d_nv, h, n_e) box in closed form and samples a fixed τ_e or θ_e
-    interval.  Returns per-free-parameter lists of accepted intervals
-    (grid-run bounded, possibly disconnected).
+    interval.  Returns per-free-parameter lists of accepted intervals: the
+    grid runs of a searched parameter (possibly disconnected), and for a
+    free d_nv the exact span of depths that the accepted b₀² windows admit
+    through the (h, n_e) corners of the box.
     """
-    free = problem.free
-    grids = [_param_grid(problem, name, grid_points) for name in free]
+    searched = problem.searched
+    grids = [_param_grid(problem, name, grid_points) for name in searched]
     mesh = np.meshgrid(*grids, indexing="ij", sparse=True)
-    accepted = _accepted(problem, mesh, epsilon_scale, grid_points)
+    accepted, top, bottom = _accepted(problem, mesh, epsilon_scale, grid_points)
     # always test the fitted minimizer itself (it may sit off-grid)
-    best = [result.best[n] for n in free]
-    best_ok = bool(_accepted(problem, best, epsilon_scale, grid_points))
+    best = [result.best[n] for n in searched]
+    best_ok, top_b, bottom_b = _accepted(problem, best, epsilon_scale, grid_points)
 
     out: dict[str, list[tuple[float, float]]] = {}
-    for k, name in enumerate(free):
-        axis_ok = accepted.any(axis=tuple(a for a in range(len(free)) if a != k))
+    for k, name in enumerate(searched):
+        axis_ok = accepted.any(axis=tuple(a for a in range(len(searched)) if a != k))
         # runs of accepted grid points: starts at even, ends at odd edges
         edges = np.flatnonzero(np.diff(np.concatenate([[0], axis_ok, [0]])))
         g = grids[k]
@@ -667,6 +701,12 @@ def confidence_region(
                 intervals.append((b, b))
                 intervals.sort()
         out[name] = intervals
+    if "d_nv" in problem.free:
+        # the highest window end is met shallowest at the corner of least b₀²,
+        # the lowest deepest at the corner of most b₀²
+        ends = max(np.max(top), top_b), min(np.min(bottom), bottom_b)
+        region = tuple(map(partial(_depth, problem), ends, _box_corners(problem)))
+        out["d_nv"] = [region] if ends[0] > -np.inf else []
     return out
 
 
@@ -676,7 +716,7 @@ def estimate_depth(
     """Depth pipeline: fit with free = {d_nv, theta_e} and fixed tau_e.
 
     Returns the FitResult with confidence intervals at `epsilon_scale`
-    attached (the d_nv entry is the depth interval).
+    attached (the d_nv entry is the exact depth interval).
     """
     if set(problem.free) != {"d_nv", "theta_e"}:
         raise ValueError("estimate_depth requires free = {d_nv, theta_e}")

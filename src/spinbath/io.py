@@ -34,8 +34,9 @@ _US = 1e-6
 
 def _open_rows(path: Path, columns: tuple[str, ...]):
     try:
-        text = path.read_text()
-    except OSError as exc:
+        # utf-8-sig drops the byte-order mark that spreadsheets put first
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: cannot read ({exc})") from exc
     if not text.strip():
         return []
@@ -131,10 +132,11 @@ def load_reference_depths(path: str | Path) -> dict[str, float]:
 
 
 def write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a header and rows; a cell holding a comma or quote is quoted."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def _cell(v) -> str:

@@ -123,9 +123,6 @@ class SpinSystemSpec:
         if not 0 <= self.n_nitrogens <= 4:
             raise ValueError("n_nitrogens must lie in [0, 4]")
 
-    def with_isotope(self, isotope: Isotope) -> "SpinSystemSpec":
-        return replace(self, isotope=isotope)
-
     def hilbert_dimension(self) -> int:
         return 2 * int(2 * CU_SPIN + 1) * int(2 * N_SPIN + 1) ** self.n_nitrogens
 
@@ -406,7 +403,7 @@ def isotope_family_spectrum(
     own hyperfine scale factor on top.
     """
     components = tuple(
-        transition_spectrum(spec.with_isotope(iso), eta_floor=eta_floor)
+        transition_spectrum(replace(spec, isotope=iso), eta_floor=eta_floor)
         for iso in isotopes
     )
     return TransitionSpectrum(components=components)

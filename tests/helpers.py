@@ -443,36 +443,69 @@ def delta_gamma_unit_loop(model, i_field, tau, theta):
 
 
 def _grid_points(grids):
-    for idx in np.ndindex(tuple(g.size for g in grids)):
-        yield idx, [float(g[i]) for g, i in zip(grids, idx)]
+    """(index, {name: value}) for every point of a landscape's named grids."""
+    for idx in np.ndindex(tuple(g.size for g in grids.values())):
+        yield idx, {n: float(g[i]) for (n, g), i in zip(grids.items(), idx)}
+
+
+def _chi2_loop(problem, params, d_nv):
+    """σ-normalized χ² at one point, with b₀² from `d_nv` and the nominal h, n_e."""
+    from spinbath.bathspectrum import slab_b0_sq
+
+    exp, sig = problem.data.delta_gammas()
+    tau, theta = (
+        params[n] if n in params else problem.fixed_value(n) for n in ("tau_e", "theta_e")
+    )
+    unit = problem.model.unit_rates(tau, theta, problem._field_indices())
+    b0 = slab_b0_sq(
+        d_nv, problem.fixed_value("h"), problem.fixed_value("n_e"),
+        gamma_e=problem.model.nv.gamma_e,
+    )
+    return float(np.sum(((exp - b0 * unit) / sig) ** 2))
 
 
 def landscape_loop(problem, grids):
-    """Fit objective evaluated one grid point at a time."""
-    from spinbath.estimator import _model_prediction
-
-    field_idx = problem._field_indices()
-    exp, sig = problem.data.delta_gammas()
-    obj = np.empty(tuple(g.size for g in grids))
-    for idx, vals in _grid_points(grids):
-        params = dict(zip(problem.free, vals))
-        th = _model_prediction(problem, params, field_idx)
-        obj[idx] = float(np.sum(((exp - th) / sig) ** 2))
+    """Fit objective evaluated one grid point at a time, d_nv fixed."""
+    obj = np.empty(tuple(g.size for g in grids.values()))
+    for idx, params in _grid_points(grids):
+        obj[idx] = _chi2_loop(problem, params, problem.fixed_value("d_nv"))
     return obj
 
 
-def _box_b0_sq_range(problem, params, n=5):
+def profile_loop(problem, grids, n_sweep=1001, stages=3):
+    """Least χ² over a d_nv sweep of its box at each grid point, and its d_nv.
+
+    d_nv sweeps the box at `n_sweep` evenly spaced values, ends included,
+    then, `stages` − 1 times, sweeps again between the two neighbours of the
+    least value; χ² is unimodal in d_nv, since it is quadratic in b₀² and
+    b₀² is monotone in d_nv.  The least value found bounds the exact profile
+    from above.
+    """
+    shape = tuple(g.size for g in grids.values())
+    obj, best = np.empty(shape), np.empty(shape)
+    for idx, params in _grid_points(grids):
+        depths = np.linspace(*problem.box("d_nv"), n_sweep)
+        for _ in range(stages):
+            chi2 = [_chi2_loop(problem, params, d) for d in depths]
+            k = int(np.argmin(chi2))
+            obj[idx], best[idx] = chi2[k], depths[k]
+            depths = np.linspace(depths[max(k - 1, 0)], depths[min(k + 1, n_sweep - 1)], n_sweep)
+    return obj, best
+
+
+def _box_b0_sq_range(problem, n=5):
     """Smallest and largest b₀² on an n³ mesh of the (d_nv, h, n_e) box.
 
-    The mesh holds the box's corners, but the range is read off the mesh
-    values, not off the corners the monotonicity of b₀² points to.
+    A free d_nv spans its search box.  The mesh holds the box's corners,
+    but the range is read off the mesh values, not off the corners the
+    monotonicity of b₀² points to.
     """
     from spinbath.bathspectrum import slab_b0_sq
 
     axes = []
     for name in ("d_nv", "h", "n_e"):
-        if name in params:
-            lo = hi = params[name]
+        if name in problem.free:
+            lo, hi = problem.box(name)
         elif name in problem.fixed:
             lo, hi = problem.fixed[name][1]
         else:
@@ -496,13 +529,14 @@ def _kinks(exp, eps, unit):
 def accepted_loop(problem, grids, epsilon_scale, grid_points, n_sweep=2001):
     """Confidence acceptance one grid point and one τ_e/θ_e sample at a time.
 
-    b₀² sweeps the box's range (`_box_b0_sq_range`) at `n_sweep` values plus
-    the kinks of the worst record's |e − b₀² u| / ε inside it, where that
-    piecewise-linear, convex function takes its minimum; so a window
-    narrower than the sweep step is not missed.  A point is accepted when
-    one value brings every record strictly within ε.  A τ_e or θ_e fixed on
-    an interval is sampled at the `grid_points` grid nodes inside it and at
-    both edges.
+    `grids` maps the searched names to their grids.  b₀² sweeps the box's
+    range (`_box_b0_sq_range`, the whole d_nv box when d_nv is free) at
+    `n_sweep` values plus the kinks of the worst record's |e − b₀² u| / ε
+    inside it, where that piecewise-linear, convex function takes its
+    minimum; so a window narrower than the sweep step is not missed.  A
+    point is accepted when one value brings every record strictly within ε.
+    A τ_e or θ_e fixed on an interval is sampled at the `grid_points` grid
+    nodes inside it and at both edges.
     """
     from spinbath.estimator import _param_grid
 
@@ -516,11 +550,10 @@ def accepted_loop(problem, grids, epsilon_scale, grid_points, n_sweep=2001):
         lo, hi = problem.fixed[name][1]
         grid = _param_grid(problem, name, grid_points)
         samples[name] = sorted({lo, hi, *(float(g) for g in grid if lo < g < hi)})
-    accepted = np.zeros(tuple(g.size for g in grids), dtype=bool)
-    for idx, vals in _grid_points(grids):
-        params = dict(zip(problem.free, vals))
-        b_lo, b_hi = _box_b0_sq_range(problem, params)
-        sweep = np.linspace(b_lo, b_hi, n_sweep)
+    b_lo, b_hi = _box_b0_sq_range(problem)
+    sweep = np.linspace(b_lo, b_hi, n_sweep)
+    accepted = np.zeros(tuple(g.size for g in grids.values()), dtype=bool)
+    for idx, params in _grid_points(grids):
         for combo in itertools.product(*samples.values()):
             params.update(zip(samples, combo))
             unit = problem.model.unit_rates(params["tau_e"], params["theta_e"], field_idx)

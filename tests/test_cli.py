@@ -232,6 +232,23 @@ def test_t1_table_contents(tmp_path, small_model, geometry):
     assert str(data) in manifest["input_hashes"]
 
 
+def test_t1_table_quotes_an_id_with_a_comma(tmp_path):
+    """A quoted input id "NV,1" stays one cell of t1_table.csv."""
+    import csv
+
+    data = tmp_path / "t1.csv"
+    data.write_text(
+        "nv_id,b_gauss,t1_cupc_us,t1_cupc_sigma_us,t1_free_us,t1_free_sigma_us\n"
+        '"NV,1",231.0,1500,30,5000,100\n'
+    )
+    code = run_cli("t1", "--config", CONFIG_PATH, "--out", tmp_path, "--data", data)
+    assert code == EXIT_OK
+    with (tmp_path / "t1_table.csv").open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert [len(row) for row in rows] == [len(header)]
+    assert rows[0][header.index("nv_id")] == "NV,1"
+
+
 def test_fit_single_point_unidentifiable(tmp_path, small_model, geometry):
     rng = np.random.default_rng(2)
     records = synth_records(
@@ -248,6 +265,38 @@ def test_fit_single_point_unidentifiable(tmp_path, small_model, geometry):
         "--grid", "16",
     )
     assert code == EXIT_UNIDENTIFIABLE
+
+
+def test_fit_free_depth_alone_region_holds_truth(tmp_path):
+    """`fit --free d_nv` on an exact 3-field table at 7 nm: the region holds 7 nm."""
+    import math
+
+    from spinbath.cli import _forward_model
+    from spinbath.config import load_config
+
+    tree = yaml.safe_load(CONFIG_PATH.read_text())
+    tree["fit"]["theta_step_deg"] = 15.0
+    config = tmp_path / "coarse.yaml"
+    config.write_text(yaml.safe_dump(tree))
+    cfg = load_config(config)
+    model = _forward_model(cfg, (231.0, 372.0, 721.0))
+    records = synth_records(
+        model, cfg.film_geometry(), cfg.bath.tau_e_ns * 1e-9,
+        math.radians(cfg.hyperfine.theta_e_deg), np.random.default_rng(0),
+        noise=0.0, d_nv=7e-9,
+    )
+    data = tmp_path / "t1.csv"
+    records_to_csv(records, data)
+    out = tmp_path / "out"
+    code = run_cli("fit", "--config", config, "--out", out, "--data", data, "--free", "d_nv")
+    assert code == EXIT_OK
+    payload = json.loads((out / "fit.json").read_text())
+    ((lo, hi),) = payload["confidence"]["d_nv"]
+    assert lo < 7e-9 < hi
+    assert payload["minima"][0]["params"]["d_nv"] == pytest.approx(7e-9, rel=1e-6)
+    # nothing is searched: the landscape is one row, the objective alone
+    header, *rows = (out / "fit_landscape.csv").read_text().splitlines()
+    assert header == "objective" and len(rows) == 1
 
 
 @pytest.fixture()
@@ -636,12 +685,12 @@ def test_worker_count_parses_and_caps():
     assert _worker_count("", 3) == 3  # unset: one thread per usable CPU
     assert _worker_count(" 2 ", 4) == 2
     assert _worker_count("1000000", 2) == 2  # never more threads than CPUs
-    for bad in ("abc", "0", "-1", "1.5", "2 threads"):
+    for bad in ("abc", "0", "-1", "1.5", "2 threads", "²"):
         with pytest.raises(ValueError, match="SPINBATH_THREADS"):
             _worker_count(bad, 2)
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", "²"])
 def test_bad_spinbath_threads_exits_2_with_one_line(value, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SPINBATH_THREADS", value)
     code = run_cli("spectrum", "--config", CONFIG_PATH, "--out", tmp_path, "--points", 5)

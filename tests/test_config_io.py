@@ -298,6 +298,19 @@ class TestMeasurementIO:
         with pytest.raises(DataFormatError, match=r"t1\.csv:2"):
             load_measurements(p)
 
+    def test_non_utf8_table_is_data_error(self, tmp_path):
+        p = tmp_path / "t1.csv"
+        p.write_bytes((self.HEADER + "\nNV\xe9,231,1500,30,5000,100\n").encode("latin-1"))
+        with pytest.raises(DataFormatError, match=r"t1\.csv: cannot read"):
+            load_measurements(p)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """A spreadsheet's "CSV UTF-8" starts with a BOM before the first column."""
+        p = tmp_path / "t1.csv"
+        p.write_text("\ufeff" + self.HEADER + "\nNV1,231,1500,30,5000,100\n")
+        (rec,) = load_measurements(p)
+        assert rec.nv_id == "NV1"
+
 
 class TestDecayIO:
     def test_load(self, tmp_path):
@@ -319,6 +332,11 @@ class TestDecayIO:
         with pytest.raises(DataFormatError):
             load_decay_curve(p)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        p = tmp_path / "decay.csv"
+        p.write_text("\ufefft_us,signal,sigma\n0,1.0,0.01\n100,0.7,0.01\n")
+        assert load_decay_curve(p).t[1] == pytest.approx(1e-4)
+
 
 class TestReferenceDepths:
     def test_load_converts_to_meters(self, tmp_path):
@@ -335,6 +353,11 @@ class TestReferenceDepths:
         with pytest.raises(DataFormatError, match="NV1"):
             load_reference_depths(p)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        p = tmp_path / "depths.csv"
+        p.write_text("\ufeffnv_id,d_ref_nm\nNV1,7.2\n")
+        assert load_reference_depths(p) == {"NV1": pytest.approx(7.2e-9)}
+
 
 class TestWriters:
     def test_csv_round_trip_floats(self, tmp_path):
@@ -344,6 +367,19 @@ class TestWriters:
         _, row = p.read_text().strip().split("\n")
         back = [float(x) for x in row.split(",")]
         assert back == [float(v) for v in values]  # repr round-trip is exact
+
+    def test_csv_quotes_cells_with_commas_and_quotes(self, tmp_path):
+        import csv
+
+        p = tmp_path / "out.csv"
+        rows = [("NV,1", 1.5), ('say "hi"', 2.0), ("plain", 3.0)]
+        write_csv(p, ("nv_id", "x"), rows)
+        text = p.read_text()
+        assert text.endswith("\nplain,3.0\n")  # a plain cell is written bare
+        with p.open(newline="") as fh:
+            assert list(csv.reader(fh)) == [["nv_id", "x"]] + [
+                [nv, repr(x)] for nv, x in rows
+            ]
 
     def test_json_handles_numpy_scalars(self, tmp_path):
         import json

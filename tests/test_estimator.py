@@ -13,6 +13,7 @@ from helpers import (
     delta_gamma_unit_loop,
     grid_local_minima_loop,
     landscape_loop,
+    profile_loop,
     raw_spectral_density,
     synth_records,
 )
@@ -235,7 +236,10 @@ class TestNodeSumMemo:
         monkeypatch.setattr(small_model, "_sums", _NoMemo())
         off = run()
         for on in (first, again):
-            for got, want in zip(on.landscape[0], off.landscape[0], strict=True):
+            assert list(on.landscape[0]) == list(off.landscape[0])
+            for got, want in zip(
+                on.landscape[0].values(), off.landscape[0].values(), strict=True
+            ):
                 np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(on.landscape[1], off.landscape[1])
             assert on.minima == off.minima
@@ -364,9 +368,11 @@ class TestNelderMead:
         fit(problem, grid_points=16)
         monkeypatch.undo()
         f = runs[0][0]
+        dim = runs[0][1].size  # a free d_nv is profiled, not searched
+        assert dim == len(problem.searched)
         rng = np.random.default_rng(16)
-        starts = [x0 for _, x0 in runs] + list(rng.uniform(0.0, 1.0, (3, 2)))
-        starts.append(np.array([0.0, rng.uniform()]))
+        starts = [x0 for _, x0 in runs] + list(rng.uniform(0.0, 1.0, (3, dim)))
+        starts.append(np.append(0.0, rng.uniform(size=dim - 1)))
         for x0 in starts:
             _same_steps_as_scipy(f, x0)
 
@@ -409,7 +415,7 @@ class TestFit:
         r2 = fit(problem, grid_points=32)
         assert r1.best == r2.best
         assert r1.param_sigma == r2.param_sigma
-        assert r1.best_objective == r2.best_objective
+        assert r1.minima == r2.minima
 
     def test_tau_recovery_synthetic(self, small_model, shipped_config, geometry):
         rng = np.random.default_rng(7)
@@ -447,10 +453,10 @@ class TestFit:
         fixed.pop("tau_e")
         fixed.pop("theta_e")
         problem = make_problem(records, small_model, geometry, ("tau_e", "theta_e"), fixed)
-        exact = estimator._model_prediction
+        exact = small_model.unit_rates
 
-        def one_nan(problem, params, field_idx):
-            out = exact(problem, params, field_idx)
+        def one_nan(tau, theta, fields=None):
+            out = exact(tau, theta, fields)
             if out.ndim == 3:  # the landscape, not a Nelder–Mead point
                 out[3, 5, 0] = np.nan
             return out
@@ -458,7 +464,7 @@ class TestFit:
         def refuse(obj):
             raise AssertionError("minima search ran on a landscape holding NaN")
 
-        monkeypatch.setattr(estimator, "_model_prediction", one_nan)
+        monkeypatch.setattr(small_model, "unit_rates", one_nan)
         monkeypatch.setattr(estimator, "_grid_local_minima", refuse)
         with pytest.raises(UnidentifiableError, match="flat"):
             fit(problem, grid_points=16)
@@ -543,7 +549,8 @@ class TestCoverage:
             d_nv=d_nv_nm * 1e-9,
         )
         problem = make_problem(records, small_model, geometry, free, nuisance_fixed(free))
-        assert estimator._accepted(problem, [2e-9, 0.75], 1.0, estimator.DEFAULT_GRID)
+        ok, _, _ = estimator._accepted(problem, [2e-9, 0.75], 1.0, estimator.DEFAULT_GRID)
+        assert ok
 
     @pytest.mark.parametrize("tau_ns", [1.2, 1.45, 2.55])
     def test_truth_accepted_between_tau_samples(
@@ -553,14 +560,110 @@ class TestCoverage:
 
         The 64-point τ grid steps by 11.6 % inside [0.9, 3.1] ns; the b₀²
         freedom of the (h, n_e) box absorbs the rate change of half a step.
+        d_nv is pinned at the truth, so only (h, n_e) can absorb it.
         """
-        free = ("d_nv", "theta_e")
+        free = ("theta_e",)
         records = synth_records(
             small_model, geometry, tau_ns * 1e-9, 0.75, np.random.default_rng(0),
             noise=0.0, d_nv=7e-9,
         )
-        problem = make_problem(records, small_model, geometry, free, nuisance_fixed(free))
-        assert estimator._accepted(problem, [7e-9, 0.75], 1.0, estimator.DEFAULT_GRID)
+        fixed = nuisance_fixed(free) | {"d_nv": (7e-9, (7e-9, 7e-9))}
+        problem = make_problem(records, small_model, geometry, free, fixed)
+        ok, _, _ = estimator._accepted(problem, [0.75], 1.0, estimator.DEFAULT_GRID)
+        assert ok
+
+
+@pytest.fixture(scope="module")
+def depth_model(shipped_config):
+    """Three-field model on 15° nodes, at the fields of a depth measurement."""
+    return ForwardModel(
+        fields_gauss=(231.0, 372.0, 721.0),
+        base_spec=shipped_config.spin_spec(1e-4),
+        nv=shipped_config.nv_config(),
+        theta_step=math.radians(15.0),
+    )
+
+
+class TestDepthRegion:
+    """A free d_nv is profiled out of the search, and its region is exact."""
+
+    @staticmethod
+    def problem(model, config, nuisance_fixed, free, d_nv, noise=0.0, seed=0):
+        """Records at d_nv and the nominal τ_e, θ_e; τ_e fixed on its interval."""
+        geometry = config.film_geometry()
+        theta = math.radians(config.hyperfine.theta_e_deg)
+        rng = np.random.default_rng(seed)
+        records = synth_records(
+            model, geometry, config.bath.tau_e_ns * 1e-9, theta, rng, noise=noise,
+            d_nv=d_nv,
+        )
+        return make_problem(
+            records, model, geometry, free, nuisance_fixed(free),
+            boxes=config.fit_boxes(),
+        )
+
+    @pytest.mark.parametrize("d_nm", [4.0, 5.5, 7.0, 9.5, 12.0, 15.0])
+    def test_region_holds_truth_on_exact_data(
+        self, d_nm, depth_model, shipped_config, nuisance_fixed
+    ):
+        problem = self.problem(
+            depth_model, shipped_config, nuisance_fixed, ("d_nv", "theta_e"), d_nm * 1e-9
+        )
+        res = estimate_depth(problem)
+        ((lo, hi),) = res.confidence["d_nv"]
+        assert lo <= d_nm * 1e-9 <= hi
+        assert res.best["d_nv"] == pytest.approx(d_nm * 1e-9, rel=1e-3)
+        grids, obj = res.landscape
+        assert list(grids) == ["theta_e"] and obj.shape == (estimator.DEFAULT_GRID,)
+
+    def test_region_ends_are_tight(self, depth_model, shipped_config, nuisance_fixed):
+        """Just inside each end a searched point is accepted at that depth; just
+        outside none is, by the b₀² sweep of `accepted_loop` at that depth."""
+        problem = self.problem(
+            depth_model, shipped_config, nuisance_fixed, ("d_nv", "theta_e"), 7e-9,
+            noise=0.03, seed=5,
+        )
+        n = 24
+        res = fit(problem, grid_points=n)
+        ((lo, hi),) = confidence_region(problem, res, grid_points=n)["d_nv"]
+        d_lo, d_hi = problem.box("d_nv")
+        assert d_lo < lo < 7e-9 < hi < d_hi
+        grid = estimator._param_grid(problem, "theta_e", n)
+        thetas = {"theta_e": np.append(grid, res.best["theta_e"])}
+
+        def accepted_at(d):
+            fixed = dict(problem.fixed, d_nv=(d, (d, d)))
+            at_d = make_problem(
+                problem.data.records, depth_model, problem.geometry, ("theta_e",),
+                fixed, boxes=problem.boxes,
+            )
+            return accepted_loop(at_d, thetas, 1.0, n).any()
+
+        for end, inward in ((lo, 1.0), (hi, -1.0)):
+            assert accepted_at(end * (1.0 + inward * 1e-6))
+            assert not accepted_at(end * (1.0 - inward * 1e-6))
+
+    def test_depth_alone_searches_nothing(
+        self, depth_model, shipped_config, nuisance_fixed, monkeypatch
+    ):
+        """free = (d_nv,): no grid axis, no simplex, the profile's minimum."""
+
+        def refuse(f, x0):
+            raise AssertionError("a simplex ran with nothing to search")
+
+        monkeypatch.setattr(estimator, "_nelder_mead", refuse)
+        problem = self.problem(
+            depth_model, shipped_config, nuisance_fixed, ("d_nv",), 7e-9,
+            noise=0.03, seed=9,
+        )
+        res = fit(problem)
+        grids, obj = res.landscape
+        assert grids == {} and obj.shape == ()
+        want_obj, want_d = profile_loop(problem, grids)
+        ((params, value),) = res.minima
+        assert params["d_nv"] == pytest.approx(float(want_d), rel=1e-8)
+        assert value == pytest.approx(float(want_obj), rel=1e-9)
+        assert value == float(obj)
 
 
 class TestEstimateDepth:
@@ -687,7 +790,7 @@ class TestVectorizedAgainstLoops:
             return unit_rates(tau, theta, fields)
 
         monkeypatch.setattr(small_model, "unit_rates", spy)
-        grids = [estimator._param_grid(problem, n, 6) for n in free]
+        grids = [estimator._param_grid(problem, n, 6) for n in problem.searched]
         mesh = np.meshgrid(*grids, indexing="ij", sparse=True)
         estimator._accepted(problem, mesh, 1.0, estimator.DEFAULT_GRID)
         assert taus == [n_tau]
@@ -706,13 +809,28 @@ class TestVectorizedAgainstLoops:
         )
         res = fit(problem, grid_points=48 if len(free) == 1 else 14)
         grids, obj = res.landscape
-        want = landscape_loop(problem, grids)
-        np.testing.assert_allclose(obj, want, rtol=1e-12, atol=0)
-        mesh = np.meshgrid(*grids, indexing="ij", sparse=True)
-        n = grids[0].size
+        assert tuple(grids) == problem.searched
+        if "d_nv" in free:
+            # the profile is the least χ² over d_nv: at most the sweep's least
+            # value, and equal to it within the refined sweep's step
+            want, _ = profile_loop(problem, grids)
+            assert np.all(obj <= want * (1 + 1e-12))
+            np.testing.assert_allclose(obj, want, rtol=1e-9, atol=0)
+            # each minimum's d_nv is the sweep's, at its refined θ_e
+            for params, value in res.minima:
+                at = {n: np.array([params[n]]) for n in problem.searched}
+                (want_v,), (want_d,) = profile_loop(problem, at)
+                assert params["d_nv"] == pytest.approx(want_d, rel=1e-8)
+                assert value <= want_v * (1 + 1e-12)
+                assert value == pytest.approx(want_v, rel=1e-9, abs=1e-12)
+        else:
+            want = landscape_loop(problem, grids)
+            np.testing.assert_allclose(obj, want, rtol=1e-12, atol=0)
+        mesh = np.meshgrid(*grids.values(), indexing="ij", sparse=True)
+        n = res.landscape[1].shape[0]
         for scale in (1.0, 4.0):
             mask = accepted_loop(problem, grids, scale, n)
-            got = estimator._accepted(problem, mesh, scale, n)
+            got, _, _ = estimator._accepted(problem, mesh, scale, n)
             # every point the b₀² sweep accepts passes the closed form ...
             assert not np.any(mask & ~got)
             # ... and every point the closed form accepts has a witness b₀²
