@@ -71,8 +71,8 @@ def _apply_thread_cap() -> int:
     SPINBATH_THREADS is the number of threads that build the θ-cache of
     `fit` and `depth`, each running its own small `eigh` on one BLAS
     thread; unset, it is the number of CPUs this process may run on.  On
-    2 vCPUs two such threads build the 5° cache of 4 fields in 1.3–1.5 s,
-    a serial build on 2 BLAS threads in 2.2–2.9 s.
+    2 vCPUs two such threads build the 5° cache of 4 fields in 1.0–1.5 s,
+    a serial build on 2 BLAS threads in 1.6–1.7 s.
     When numpy is already loaded (an in-process caller), its BLAS threads
     are fixed and a pool would oversubscribe them, so the count is 1.
     """
@@ -166,7 +166,7 @@ def cmd_spectrum(run: _Run) -> int:
 
     from .bathspectrum import spectral_density
     from .constants import TWO_PI, gauss_to_tesla
-    from .relaxometry import nv_frequency, relaxation_rate
+    from .relaxometry import nv_frequency
 
     cfg = run.load_config()
     a = run.args
@@ -183,15 +183,8 @@ def cmd_spectrum(run: _Run) -> int:
         for b in fields:
             model = cfg.bath_model(gauss_to_tesla(b), tau_e, theta)
             w_nv = nv_frequency(nv, gauss_to_tesla(b))
-            s_nv = spectral_density(model, w_nv)
-            rows.append(
-                (
-                    float(b),
-                    w_nv / TWO_PI / 1e9,
-                    float(s_nv),
-                    relaxation_rate(model, nv, gauss_to_tesla(b)),
-                )
-            )
+            s_nv = float(spectral_density(model, w_nv))
+            rows.append((float(b), w_nv / TWO_PI / 1e9, s_nv, nv.gamma_e**2 * s_nv))
         run.write_csv(
             "spectrum_sweep.csv",
             ("b_gauss", "omega_nv_ghz", "s_e_t2s", "gamma1_per_s"),
@@ -211,13 +204,15 @@ def cmd_spectrum(run: _Run) -> int:
             zip(omega / TWO_PI / 1e9, s),
         )
         w_nv = nv_frequency(nv, b_tesla)
+        # one S_e(ω_NV) for both: Γ₁ = γ_e² S_e(ω_NV), as `relaxation_rate`
+        s_nv = float(spectral_density(model, w_nv))
         summary = {
             "b_gauss": a.field,
             "tau_e_ns": tau_e * 1e9,
             "theta_e_deg": math.degrees(theta),
             "omega_nv_ghz": w_nv / TWO_PI / 1e9,
-            "s_e_at_omega_nv_t2s": float(spectral_density(model, w_nv)),
-            "gamma1_at_omega_nv_per_s": relaxation_rate(model, nv, b_tesla),
+            "s_e_at_omega_nv_t2s": s_nv,
+            "gamma1_at_omega_nv_per_s": nv.gamma_e**2 * s_nv,
         }
         run.write_json("spectrum_summary.json", summary)
         print(

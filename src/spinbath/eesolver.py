@@ -179,7 +179,8 @@ def _pair_weights(omega: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np
     where P is the autocorrelation of F (the difference term) plus the
     self-convolution F * F (the sum term), folded onto m >= 0 because L is
     even.  One FFT of F gives both.  The sum term is computed, not taken
-    equal to the difference term, so the list need not be +-omega symmetric.
+    equal to the difference term: for the one-sided lists of
+    `TransitionSpectrum.binned` (every omega > 0) the two differ.
     """
     if omega.size == 0:
         return omega, weight
@@ -282,9 +283,11 @@ def coincidence_weight(
 
     W = sum_ab w_a w_b (1[|omega_a - omega_b| < bin] +
                         1[|omega_a + omega_b| < bin]) / (sum_a w_a)^2
-    over the signed, unbinned line list: the 10 kHz default window is finer
-    than the 1 MHz bins.  W -> 1 when every transition sits at the same
-    single frequency (the no-hyperfine limit).
+    over the unbinned line list: the 10 kHz default window is finer than
+    the 1 MHz bins.  W is even in each omega_a, so a line may carry either
+    sign; `transition_spectrum` lists each transition once, at omega > 0.
+    W -> 1 when every transition sits at the same single frequency (the
+    no-hyperfine limit).
     """
     omega, weight = spectrum.merged()
     order = np.argsort(omega)

@@ -5,7 +5,9 @@ nucleus (I = 3/2) and the four coordinating nitrogens (I = 1), giving a
 Hilbert space of dimension 2 * 4 * 3^4 = 648 = 2M.  Diagonalizing the
 Hamiltonian yields the transition frequencies omega_ij = omega_i - omega_j
 and weights eta_ij = |<psi_i|S_perp|psi_j>|^2 / M that parameterize the
-bath autocorrelation.
+bath autocorrelation.  Every consumer of the lines is even in each line's
+omega, so each unordered pair is listed once, at omega_ij > 0 with weight
+eta_ij + eta_ji.
 
 The nitrogens come in two equivalent pairs, (0, 2) with tensor T and
 (1, 3) with the in-plane-swapped T'.  H has no N-N coupling and no nuclear
@@ -21,8 +23,9 @@ Conventions
 * The lab frame has z along the applied field (the NV axis); the molecular
   axis is tilted by theta_e toward +x, i.e. tensors are rotated by
   R_y(theta_e) with R_y = [[c,0,s],[0,1,0],[-s,0,c]].
-* S_perp = S_x in the lab frame; eta sums run over ordered pairs (i, j),
-  i != j, so the spectrum contains both +omega and -omega entries.
+* S_perp = S_x in the lab frame.  The line list holds one line per
+  unordered pair i > j, at omega_ij > 0 with weight eta_ij + eta_ji; the
+  ordered pair (j, i) at -omega_ij is folded into it.
 * All frequencies are angular (rad/s).  Hyperfine constants are supplied
   in MHz at the config boundary and converted on ingest.
 * H is real by construction: every tensor is diagonal in a frame tilted
@@ -132,8 +135,8 @@ class IsotopeSpectrum:
     """Transition list for a single isotope at fixed (B, theta_e)."""
 
     isotope: Isotope
-    omega: np.ndarray  # rad/s, ordered pairs (both signs present)
-    eta: np.ndarray  # dimensionless weights, same length as omega
+    omega: np.ndarray  # rad/s, one line per unordered pair, omega > 0
+    eta: np.ndarray  # eta_ij + eta_ji of each line, same length as omega
     m_states: int  # M = half the Hilbert dimension
     eta_sum_all: float  # sum of eta over ALL ordered pairs incl. diagonal
     eta_static: float  # diagonal + degenerate weight folded out of the list
@@ -168,11 +171,14 @@ class TransitionSpectrum:
     def binned(self, bin_width: float = DEFAULT_BIN) -> tuple[np.ndarray, np.ndarray]:
         """merged() lines in weight-conserving bins at their weighted means.
 
-        Bin k holds the lines with round(ω / bin_width) = k; the bins come
-        out in ascending k.  Each component's ω is sorted, so its bins are
-        runs and are summed in place.  The short per-component bin lists
-        are then merged by a stable sort on k, which also joins the repeated
-        runs of a component that is not sorted.
+        Every line is first folded onto |ω|, which changes no sum over the
+        lines since each is even in ω; a hand-built list with both signs
+        bins as its folded self.  Bin k holds the lines with
+        round(|ω| / bin_width) = k; the bins come out in ascending k.  Each
+        component's ω is sorted and positive, so its bins are runs and are
+        summed in place.  The short per-component bin lists are then merged
+        by a stable sort on k, which also joins the repeated runs of a
+        component that is not sorted.
 
         Each bin width is binned once per spectrum: the read-only result is
         kept and handed to every later call.
@@ -182,9 +188,10 @@ class TransitionSpectrum:
             return hit
         runs = []
         for c in self.components:
+            omega = np.abs(c.omega)
             weight = c.isotope.abundance * c.eta
-            idx = np.round(c.omega / bin_width).astype(np.int64)
-            runs.append(_sum_runs(idx, weight, c.omega * weight))
+            idx = np.round(omega / bin_width).astype(np.int64)
+            runs.append(_sum_runs(idx, weight, omega * weight))
         idx, weight, moment = (np.concatenate(parts) for parts in zip(*runs))
         order = np.argsort(idx, kind="stable")
         _, w_out, m_out = _sum_runs(idx[order], weight[order], moment[order])
@@ -335,7 +342,7 @@ def transition_spectrum(
     spec: SpinSystemSpec,
     eta_floor: float = DEFAULT_ETA_FLOOR,
 ) -> IsotopeSpectrum:
-    """Diagonalize the spin Hamiltonian and list (omega_ij, eta_ij) pairs.
+    """Diagonalize the spin Hamiltonian and list each transition once.
 
     H is block-diagonal in the total spins I_a, I_b of the two equivalent
     nitrogen pairs (`_block_site_lists`): at most nine blocks, of 8(2I_a+1)
@@ -346,37 +353,43 @@ def transition_spectrum(
     pairs inside a block are listed.  Weights are normalized by M = half the
     full dimension, so the trace identity sum eta = 1/2 holds over all blocks.
 
-    Ordered pairs i != j are returned sorted by omega; diagonal pairs and
-    transitions between degenerate states go to the static bin, and pairs
-    with eta below `eta_floor` are pruned (their weight is tallied so the
-    trace identity can still be audited).
+    Each unordered pair i > j is one line: with eigenvalues ascending,
+    omega_ij = e_i - e_j >= 0 on the strict lower triangle, and the line
+    carries eta_ij + eta_ji, the weight of both signs.  The lines are
+    returned sorted by omega.  Diagonal pairs and transitions between
+    degenerate states go to the static bin, and lines below 2 `eta_floor`
+    (each ordered pair below `eta_floor`) are pruned; their weight is
+    tallied so the trace identity can still be audited.
     """
     m_states = spec.hilbert_dimension() // 2
     omegas, etas = [], []
     eta_sum_all = eta_static = eta_pruned = 0.0
     for sites in _block_site_lists(spec):
-        h = _assemble_hamiltonian(spec, sites)
         try:
-            evals, evecs = np.linalg.eigh(h)
+            evals, evecs = np.linalg.eigh(_assemble_hamiltonian(spec, sites))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigensolver failed: {exc}") from exc
 
-        dim = h.shape[0]
+        dim = evals.size
         # S_x = 1/2 [[0, 1], [1, 0]] on the electron blocks, so with the
         # eigenvectors split into their up/down halves, <i|S_x|j> = (A + A^T)/2
         a = evecs[: dim // 2].T @ evecs[dim // 2 :]
-        eta_mat = (0.5 * (a + a.T)) ** 2 / m_states
-        eta_sum_all += float(eta_mat.sum())
+        # eta_ij + eta_ji = (A + A^T)^2 / 2M, in place; eta is symmetric, so
+        # this is 2 eta_ij bit for bit
+        pair = a + a.T
+        np.square(pair, out=pair)
+        pair /= 2 * m_states
+        eta_sum_all += 0.5 * float(pair.sum())
 
         omega_mat = evals[:, None] - evals[None, :]
-        off = ~np.eye(dim, dtype=bool)
-        oscillating = off & (np.abs(omega_mat) >= DEGENERACY_FLOOR)
-        eta_static += float(eta_mat[~oscillating].sum())
+        lower = np.tri(dim, k=-1, dtype=bool)
+        oscillating = lower & (omega_mat >= DEGENERACY_FLOOR)
+        eta_static += 0.5 * float(np.trace(pair)) + float(pair[lower & ~oscillating].sum())
 
-        keep = oscillating & (eta_mat >= eta_floor)
-        eta_pruned += float(eta_mat[oscillating & ~keep].sum())
+        keep = oscillating & (pair >= 2.0 * eta_floor)
+        eta_pruned += float(pair[oscillating & ~keep].sum())
         omegas.append(omega_mat[keep])
-        etas.append(eta_mat[keep])
+        etas.append(pair[keep])
 
     omega = np.concatenate(omegas)
     eta = np.concatenate(etas)

@@ -13,6 +13,10 @@ from spinbath.cli import _THREAD_VARS
 for _var in _THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
+#: θ-cache build threads of the shared forward models: one per CPU, as the
+#: CLI's default.  The cache is the same, bit for bit, for any count.
+WORKERS = len(os.sched_getaffinity(0))
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_PATH = REPO_ROOT / "configs" / "cupc.yaml"
 
@@ -39,6 +43,7 @@ def small_model(shipped_config):
         base_spec=shipped_config.spin_spec(1e-4),
         nv=shipped_config.nv_config(),
         theta_step=math.radians(15.0),
+        workers=WORKERS,
     )
 
 
@@ -46,7 +51,8 @@ def small_model(shipped_config):
 def forward_model_4f(shipped_config):
     """Four-field forward model at 2 degree resolution (acceptance-grade).
 
-    Building it costs ~30 s; it is shared across the whole session.
+    Building it costs 2.1–2.8 s on 2 vCPUs; it is shared across the whole
+    session.
     """
     from spinbath.estimator import ForwardModel
 
@@ -55,6 +61,7 @@ def forward_model_4f(shipped_config):
         base_spec=shipped_config.spin_spec(1e-4),
         nv=shipped_config.nv_config(),
         theta_step=math.radians(2.0),
+        workers=WORKERS,
     )
 
 

@@ -315,7 +315,9 @@ def two_product_spectrum(spec, eta_floor=1e-12):
     The oracle for `transition_spectrum`: diagonalizes the complex-kron H
     (as a real matrix when its imaginary part vanishes, as the real path
     always gives) and takes <i|S_x|j> as V^H (S_x (x) 1) V, two full-size
-    products, with the same static-bin and floor bookkeeping.
+    products, with the same static-bin and floor bookkeeping.  The ordered
+    pairs are folded onto omega > 0: the line of i > j carries
+    eta_ij + eta_ji and is kept when that is at least 2 `eta_floor`.
     """
     from spinbath.spinmodel import DEGENERACY_FLOOR, spin_operators
 
@@ -329,14 +331,16 @@ def two_product_spectrum(spec, eta_floor=1e-12):
     eta_mat = (w.real**2 + w.imag**2) / m_states
     omega_mat = evals[:, None] - evals[None, :]
     oscillating = ~np.eye(h.shape[0], dtype=bool) & (np.abs(omega_mat) >= DEGENERACY_FLOOR)
-    keep = oscillating & (eta_mat >= eta_floor)
+    pair = eta_mat + eta_mat.T
+    lines = oscillating & (omega_mat > 0)
+    keep = lines & (pair >= 2.0 * eta_floor)
     order = np.argsort(omega_mat[keep])
     return (
         omega_mat[keep][order],
-        eta_mat[keep][order],
+        pair[keep][order],
         float(eta_mat.sum()),
         float(eta_mat[~oscillating].sum()),
-        float(eta_mat[oscillating & ~keep].sum()),
+        float(pair[lines & ~keep].sum()),
     )
 
 

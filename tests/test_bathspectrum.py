@@ -27,12 +27,13 @@ GEOM = FilmGeometry(d_nv=7e-9, h=20e-9, n_e=1.7174e27)
 
 
 def one_pair_model(omega0=TWO_PI * 1.2e9, tau_e=2e-9, b0_sq=1e-9):
+    """A bare electron's line at omega0, hand-built as two signed lines."""
     spectrum = electron_only_spectrum(b_field=1.0)
     comp = spectrum.components[0]
     scaled = type(comp)(
         isotope=comp.isotope,
         omega=np.array([-omega0, omega0]),
-        eta=comp.eta,
+        eta=np.array([0.25, 0.25]),
         m_states=comp.m_states,
         eta_sum_all=comp.eta_sum_all,
         eta_static=comp.eta_static,
@@ -174,11 +175,12 @@ class TestFreeElectronReduction:
             spectral_density(full, omega), via_reduction, rtol=1e-6
         )
 
-    def test_free_electron_two_lines(self):
+    def test_free_electron_one_line(self):
+        """One line at +gamma B carrying both directions' 1/4."""
         spectrum = electron_only_spectrum(b_field=372.0 * GAUSS_TO_TESLA)
         comp = spectrum.components[0]
-        assert comp.omega.size == 2
-        np.testing.assert_allclose(comp.eta, [0.25, 0.25])
+        assert comp.omega.size == 1 and comp.omega[0] > 0
+        np.testing.assert_allclose(comp.eta, [0.25 + 0.25])
 
 
 class TestCupcModel:

@@ -40,7 +40,8 @@ def toy_lattice(r, theta, cell_size=300e-9):
 def poly_root_tau(r, theta, omega0):
     """Exact single-pair fixed point as a cubic root in tau^2.
 
-    For a two-line (+-omega0) bath, the self-consistency condition
+    For a bare electron's bath, one line of weight 1/2 at omega0, the
+    self-consistency condition
     1/tau = K [ QS/2 * L(omega0) + F/4 * (tau + L(2 omega0)) ]
     clears into K F a^2 u^3 + (K(2QS + 3F/2)a - 4a^2) u^2
     + (K(QS+F)/2 - 5a) u - 1 = 0 with u = tau^2, a = omega0^2.
@@ -269,7 +270,7 @@ class TestSelfConsistentSolve:
     def test_binned_lines_match_raw_line_root(self, shipped_config):
         """tau_full equals the root of the exact sums over the raw lines.
 
-        Two nitrogens keep the raw list (8 426 lines at 721 G, 2 684 bins)
+        Two nitrogens keep the raw list (4 213 lines at 721 G, 1 342 bins)
         small enough for the raw double sum; binning and the grid deposit
         both differ from it.
         """

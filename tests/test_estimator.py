@@ -848,8 +848,7 @@ class TestVectorizedAgainstLoops:
         assert o_vec.size == o_loop.size < omega.size
         assert w_vec.sum() == pytest.approx(weight.sum(), rel=1e-12)
         np.testing.assert_allclose(w_vec, w_loop, rtol=1e-12, atol=0)
-        # the bin at ω ≈ 0 averages lines of both signs: its mean cancels, so
-        # its error is measured against the spectrum's frequency scale
+        # centre errors are measured against the spectrum's frequency scale
         scale = np.abs(omega).max()
         np.testing.assert_allclose(o_vec, o_loop, rtol=1e-12, atol=1e-12 * scale)
 

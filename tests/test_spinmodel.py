@@ -11,9 +11,13 @@ from spinbath.spinmodel import (
     CU_ISOTOPES,
     CU_TENSOR,
     DEFAULT_BIN,
+    DEFAULT_ETA_FLOOR,
+    DEGENERACY_FLOOR,
     N_SPIN,
     N_TENSOR,
     HyperfineTensor,
+    Isotope,
+    IsotopeSpectrum,
     SpinSystemSpec,
     TransitionSpectrum,
     _assemble_hamiltonian,
@@ -80,7 +84,7 @@ class TestHamiltonian:
         assert np.allclose(h, h.T)
 
     def test_free_electron_splitting(self):
-        """Zeroed hyperfine: all transition weight sits at +/- gamma B."""
+        """Zeroed hyperfine: all transition weight, 1/4 + 1/4, sits at gamma B."""
         spec = SpinSystemSpec(
             b_field=461.0 * GAUSS_TO_TESLA,
             theta_e=0.3,
@@ -91,10 +95,8 @@ class TestHamiltonian:
         )
         comp = transition_spectrum(spec)
         omega0 = GAMMA_E * (2.0 / G_E) * spec.b_field
-        np.testing.assert_allclose(np.abs(comp.omega), omega0, rtol=1e-8)
-        plus = comp.omega > 0
-        np.testing.assert_allclose(comp.eta[plus].sum(), 0.25, rtol=1e-8)
-        np.testing.assert_allclose(comp.eta[~plus].sum(), 0.25, rtol=1e-8)
+        np.testing.assert_allclose(comp.omega, omega0, rtol=1e-8)
+        np.testing.assert_allclose(comp.eta.sum(), 0.25 + 0.25, rtol=1e-8)
 
 
 @pytest.mark.parametrize("b_gauss", [0.0, 231.0, 461.0, 721.0])
@@ -149,13 +151,16 @@ def assert_matches_dense_oracle(spec):
     With at most two nitrogens H is a single block, so the lists are the
     dense ones bit for bit.  Beyond that the blocks reorder the floating-point
     work, and the comparison depends on the point:
-    * generic: the same bins, weights to 3e-15 (measured <= 1.6e-15) and
-      centres to 1e-12 max|omega| (measured <= 8e-14 max|omega|);
+    * generic: the same bins, weights to 3e-15 per ordered pair and centres
+      to 1e-12 max|omega| (measured <= 8e-14 max|omega|).  A line carries
+      the weight of its two ordered pairs, so a bin's weight and its error
+      are twice those of the ordered-pair list: 6e-15 per bin (measured
+      <= 3.9e-15, 1.93e-15 per ordered pair);
     * exactly degenerate (B = 0 or theta_e = 0): the dense eigh mixes states
       across blocks and spreads eta over more pairs (at B = 0, theta_e = 0,
-      40 952 lines against 22 844), so the floor prunes a different ~1e-9 of
+      20 495 lines against 11 422), so the floor prunes a different ~1e-9 of
       weight.  There S(omega) over the line range agrees to 1e-8 of its
-      maximum at tau_e = 0.1 ... 100 ns (measured <= 3.9e-9), and eta_pruned
+      maximum at tau_e = 0.1 ... 100 ns (measured <= 3.6e-9), and eta_pruned
       to 5e-9 (measured <= 9.5e-10).
     Sum eta and the static weight do not depend on the basis chosen inside a
     degenerate subspace; they agree to 1e-15 everywhere.
@@ -191,7 +196,7 @@ def assert_matches_dense_oracle(spec):
         centres, weights = one_isotope_family(comp).binned()
         ref_centres, ref_weights = oracle.binned()
         assert centres.size == ref_centres.size
-        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=3e-15)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=2 * 3e-15)
         np.testing.assert_allclose(
             centres, ref_centres, rtol=0, atol=1e-12 * np.abs(ref.omega).max()
         )
@@ -301,21 +306,36 @@ class TestTransitionSpectrum:
         total = comp.eta.sum() + comp.eta_static + comp.eta_pruned
         np.testing.assert_allclose(total, comp.eta_sum_all, rtol=1e-10)
 
-    def test_spectrum_antisymmetric_in_omega(self):
-        """eta(omega) = eta(-omega): ordered pairs come in mirrored pairs."""
-        comp = transition_spectrum(default_spec())
-        order_pos = np.argsort(comp.omega[comp.omega > 0])
-        order_neg = np.argsort(-comp.omega[comp.omega < 0])
-        np.testing.assert_allclose(
-            comp.omega[comp.omega > 0][order_pos],
-            -comp.omega[comp.omega < 0][order_neg],
-            rtol=1e-12,
-        )
-        np.testing.assert_allclose(
-            comp.eta[comp.omega > 0][order_pos],
-            comp.eta[comp.omega < 0][order_neg],
-            rtol=1e-9,
-        )
+    @pytest.mark.parametrize("b_gauss, theta_deg", [(461.0, 43.05), (231.0, 0.0)])
+    def test_lines_are_folded_ordered_pairs(self, b_gauss, theta_deg):
+        """Every line has omega > 0 and the weight eta_ij + eta_ji of its two pairs.
+
+        The oracle lists the ordered pairs of each block with <i|S_x|j> from
+        the full S_x matrix, then folds each pair at -omega onto its mirror
+        at +omega.  Both sides diagonalize the same blocks, so the
+        frequencies agree bit for bit.
+        """
+        spec = default_spec(b_gauss, theta_deg)
+        comp = transition_spectrum(spec)
+        assert np.all(comp.omega > 0)
+        m_states = spec.hilbert_dimension() // 2
+        omegas, weights = [], []
+        for sites in _block_site_lists(spec):
+            h = _assemble_hamiltonian(spec, sites)
+            evals, evecs = np.linalg.eigh(h)
+            sx = np.kron(spin_operators(0.5)[0].real, np.eye(h.shape[0] // 2))
+            eta = (evecs.T @ sx @ evecs) ** 2 / m_states
+            omega = evals[:, None] - evals[None, :]
+            np.testing.assert_array_equal(omega, -omega.T)  # mirrored pairs
+            pair = eta + eta.T
+            keep = (omega >= DEGENERACY_FLOOR) & (pair >= 2.0 * DEFAULT_ETA_FLOOR)
+            omegas.append(omega[keep])
+            weights.append(pair[keep])
+        omega, weight = np.concatenate(omegas), np.concatenate(weights)
+        order = np.lexsort((weight, omega))
+        got = np.lexsort((comp.eta, comp.omega))
+        np.testing.assert_array_equal(comp.omega[got], omega[order])
+        np.testing.assert_allclose(comp.eta[got], weight[order], rtol=0, atol=1e-15)
 
 
 class TestIsotopeFamily:
@@ -400,3 +420,85 @@ class TestBinned:
     def test_one_hertz_bins(self):
         family = isotope_family_spectrum(default_spec(461.0, 43.0))
         assert_same_bins(family, 2.0 * np.pi)
+
+    def test_line_list_memory_is_bounded(self):
+        """Peak traced allocation of one binned spectrum at 461 G stays within 4 MB.
+
+        One line per unordered pair halves every line array; the ordered-pair
+        list peaked at 5.8 MB.
+        """
+        import tracemalloc
+
+        spec = default_spec(461.0)
+        isotope_family_spectrum(spec).binned()  # warm the operator caches
+        tracemalloc.start()
+        try:
+            isotope_family_spectrum(spec).binned()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak
+
+
+def _random_family(rng, n_lines=1500):
+    """A hand-built two-isotope spectrum of random positive lines."""
+    components = []
+    for label, abundance in (("a", 0.6), ("b", 0.4)):
+        omega = TWO_PI * np.sort(rng.uniform(0.01e9, 3.0e9, n_lines))
+        components.append(
+            IsotopeSpectrum(
+                isotope=Isotope(label, abundance, 1.0),
+                omega=omega,
+                eta=rng.uniform(0.0, 1.0 / n_lines, n_lines),
+                m_states=n_lines,
+                eta_sum_all=0.5,
+                eta_static=0.0,
+                eta_pruned=0.0,
+            )
+        )
+    return TransitionSpectrum(components=tuple(components))
+
+
+def _flip_signs(family, rng):
+    """`family` with the sign of a random half of its lines flipped."""
+    return TransitionSpectrum(
+        components=tuple(
+            replace(c, omega=np.where(rng.random(c.omega.size) < 0.5, -c.omega, c.omega))
+            for c in family.components
+        )
+    )
+
+
+def test_fold_identity(shipped_config):
+    """Every consumer of a line list is even in each line's omega.
+
+    Flipping the sign of any subset of the lines moves S_e, G_e(t), the
+    coincidence weight and the self-consistent tau_e by at most 1e-12
+    relative, so listing each transition once, at omega > 0, loses nothing.
+    """
+    from spinbath.bathspectrum import BathSpectrumModel, autocorrelation, spectral_density
+    from spinbath.eesolver import coincidence_weight, solve_tau_self_consistent
+
+    rng = np.random.default_rng(19)
+    family = _random_family(rng)
+    flipped = _flip_signs(family, rng)
+    assert any(np.any(c.omega < 0) for c in flipped.components)
+    omega = TWO_PI * np.linspace(0.1e9, 6.0e9, 97)
+    t = np.linspace(0.0, 1e-8, 300)
+    lattice = shipped_config.lattice_model()
+    for tau_e in (0.5e-9, 2e-9, 20e-9):
+        model = BathSpectrumModel(spectrum=family, tau_e=tau_e, b0_sq=1e-9)
+        model_flipped = replace(model, spectrum=flipped)
+        np.testing.assert_allclose(
+            spectral_density(model_flipped, omega), spectral_density(model, omega), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            autocorrelation(model_flipped, t), autocorrelation(model, t), rtol=1e-12
+        )
+    for width in (TWO_PI * 10e3, TWO_PI * 5e6):
+        assert coincidence_weight(flipped, width) == pytest.approx(
+            coincidence_weight(family, width), rel=1e-12
+        )
+    assert solve_tau_self_consistent(lattice, flipped).tau_e == pytest.approx(
+        solve_tau_self_consistent(lattice, family).tau_e, rel=1e-12
+    )
