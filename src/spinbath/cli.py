@@ -561,7 +561,10 @@ def cmd_decay_fit(run: _Run) -> int:
             f"{run.args.data}: a decay fit needs at least {MIN_DECAY_SAMPLES} "
             f"samples, got {len(curve)}"
         )
-    result = fit_decay(curve)
+    try:
+        result = fit_decay(curve)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{run.args.data}: {exc}") from None
     payload = result.as_dict()
     payload["T1_us"] = result.t1 * 1e6
     payload["T1_sigma_us"] = result.t1_sigma * 1e6

@@ -11,7 +11,8 @@ rate, and the film-induced change of rate
 is the observable every fit consumes.  Raw T1 curves are reduced with the
 stretched-exponential model y = A exp[-(t/T1)^iota] + C: A and C are
 solved exactly on a (T1, iota) grid, and the best grid point is polished
-by one TRF run with the analytic Jacobian (`_stretched_exp_jac`).  The
+by one bounded Levenberg-Marquardt run (`_levenberg_marquardt`) with the
+analytic Jacobian (`_stretched_exp_jac`); no SciPy module is loaded.  The
 temperature dependence of the molecular spin-lattice rate is modeled by
 one- and two-phonon Bose factors.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from .bathspectrum import BathSpectrumModel, spectral_density
 from .constants import D_ZFS, GAMMA_E, HBAR, K_B
-from .errors import ConvergenceError, UnidentifiableError
+from .errors import ConvergenceError, DataFormatError, UnidentifiableError
 
 
 @dataclass(frozen=True)
@@ -119,13 +120,15 @@ _GRID_IOTA = 12
 #: Largest (T1, iota, t) work array of the grid, in elements.
 _GRID_CHUNK = 1 << 16
 
-#: Most TRF polishes `fit_decay` tries before giving up.
+#: Most polishes `fit_decay` tries before giving up.
 _MAX_POLISHES = 9
 
-#: TRF's ftol and xtol for the polish.  SciPy's 1e-8 stops one run up to
-#: ~4e-8 above the lowest cost in flat (T1, iota) valleys; 1e-10 costs
-#: about one more residual evaluation per fit.
+#: Relative cost drop and step at which a polish stops.  1e-8 stops a run
+#: up to ~4e-8 above the lowest cost in flat (T1, iota) valleys.
 _POLISH_TOL = 1e-10
+
+#: Most trial steps of one polish; reaching it counts as not converged.
+_MAX_LM_TRIALS = 200
 
 #: Fewest samples a decay fit accepts: 4 parameters plus 2 degrees of freedom.
 MIN_DECAY_SAMPLES = 6
@@ -239,45 +242,95 @@ def _grid_starts(t, y, sig, lo, hi) -> np.ndarray:
     return np.stack([a[i, j], t1_grid[i], iota_grid[j], c[i, j]], axis=1)
 
 
+def _levenberg_marquardt(resid, jac, x0, lo, hi):
+    """Minimize |resid(x)|^2 over the box lo <= x <= hi (Marquardt 1963).
+
+    Each trial step solves (J^T J + lam D) dx = -J^T r, D = diag(J^T J),
+    for the free parameters; one at a bound whose gradient points out of
+    the box is held for that step.  The trial point is clipped into the
+    box and taken when the cost does not rise: lam then falls 10x, and
+    after a refused trial it rises 10x.  A taken step ends the run when it
+    lowers the cost by at most `_POLISH_TOL` of it, as measured and as the
+    linear model predicted, or moves no parameter by more than
+    `_POLISH_TOL` of its size.  Returns (x, r, J, converged); after
+    `_MAX_LM_TRIALS` trials without that, converged is False.  Raises
+    ValueError when the residuals at x0 are not finite.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    r = resid(x)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("residuals are not finite at the start point")
+    j, cost, lam = jac(x), r @ r, 1e-3
+    for _ in range(_MAX_LM_TRIALS):
+        g = j.T @ r
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        jtj = j[:, free].T @ j[:, free]
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -g[free])
+        trial = np.clip(x + step, lo, hi)
+        r_trial = resid(trial)
+        cost_trial = r_trial @ r_trial
+        if not cost_trial <= cost:  # a rise, or NaN
+            lam *= 10.0
+            continue
+        dx = trial - x
+        r_lin = r + j @ dx
+        flat = max(cost - cost_trial, cost - r_lin @ r_lin) <= _POLISH_TOL * cost
+        x, r, j, cost, lam = trial, r_trial, jac(trial), cost_trial, lam / 10.0
+        if flat or np.all(np.abs(dx) <= _POLISH_TOL * np.abs(x)):
+            return x, r, j, True
+    return x, r, j, False
+
+
 def fit_decay(curve: DecayCurve) -> DecayFitResult:
     """Weighted least-squares fit of the stretched exponential.
 
-    A and C enter the model linearly, so for any fixed (T1, iota) they
-    are solved exactly (variable projection).  `_grid_starts` does that
-    on a 48 x 12 grid, T1 from 1/100 of the first positive delay to the
-    upper T1 bound and iota over its bounds, and ranks the points by
-    weighted cost.  The best point is polished by one bounded TRF run on
-    all four parameters with the analytic Jacobian of the weighted
-    residual; the next points are tried, up to 9 in all, only when a
-    polish raises ValueError or does not converge.  The covariance comes
-    from the Jacobian at the solution.  Raises UnidentifiableError when
-    the curve is constant within noise (A unidentifiable) and
+    The fit runs in the trace's own scales, t over its last delay and y
+    and sigma over the signal span, and scales its results back, so no
+    sum or Jacobian entry overflows for data in any units.  A and C enter
+    the model linearly, so for any fixed (T1, iota) they are solved
+    exactly (variable projection).  `_grid_starts` does that on a 48 x 12
+    grid, T1 from 1/100 of the first positive delay to the upper T1 bound
+    and iota over its bounds, and ranks the points by weighted cost.  The
+    best point is polished by one bounded Levenberg-Marquardt run
+    (`_levenberg_marquardt`) on all four parameters with the analytic
+    Jacobian of the weighted residual; the next points are tried, up to 9
+    in all, only when a polish raises ValueError or does not converge.
+    The covariance comes from the Jacobian at the solution.  Raises
+    UnidentifiableError when the curve is constant within noise (A
+    unidentifiable), DataFormatError when the uncertainties are so small
+    against the span that the weights would overflow, and
     ConvergenceError when no polish converges.
     """
-    # imported here, not at module level: spectrum, t1 and tau-ee load this
-    # module and never fit, and SciPy would be most of their start-up time
-    from scipy.optimize import least_squares
-
     if len(curve) < MIN_DECAY_SAMPLES:
         raise ValueError(
             f"need at least {MIN_DECAY_SAMPLES} samples to fit 4 parameters"
         )
-    t, y, sig = curve.t, curve.y, curve.sigma
+    span = float(np.max(curve.y) - np.min(curve.y))
+    if span < 3.0 * float(np.median(curve.sigma)):
+        raise UnidentifiableError(
+            "decay amplitude is zero within noise; T1 and iota are unconstrained"
+        )
+    t_end = curve.t[-1]
+    t, y, sig = curve.t / t_end, curve.y / span, curve.sigma / span
+    # with each weight at most 1e-4 / n of the largest float, no cost
+    # overflows while the residuals stay within 100 spans
+    if np.min(sig) < np.sqrt(1e4 * len(curve) / np.finfo(float).max):
+        raise DataFormatError(
+            f"uncertainties down to {np.min(curve.sigma):.3g} are too small for a "
+            f"signal span of {span:.3g}: the fit's weights would overflow"
+        )
     # the T1 grid starts at the first positive delay / 100, not the nudged one
     grid_t1_lo = (t[0] if t[0] > 0 else t[1]) / 100.0
     if t[0] <= 0:
         # (t/T1)^iota needs t > 0; nudge a leading zero sample
-        t = t.copy()
         t[0] = t[1] * 1e-6
-    span = float(np.max(y) - np.min(y))
-    noise = float(np.median(sig))
-    if span < 3.0 * noise:
-        raise UnidentifiableError(
-            "decay amplitude is zero within noise; T1 and iota are unconstrained"
-        )
 
-    lo = [-10 * abs(span) - 1e-12, t[0] / 100.0, IOTA_BOUNDS[0], np.min(y) - span - 1e-9]
-    hi = [10 * abs(span) + 1e-12, t[-1] * 100.0, IOTA_BOUNDS[1], np.max(y) + span + 1e-9]
+    # A within 10 spans of 0 and C within a span of the data, with the pads
+    # of the unscaled box
+    pad_a, pad_c = 1e-12 / span, 1e-9 / span
+    lo = np.array([-10.0 - pad_a, t[0] / 100.0, IOTA_BOUNDS[0], np.min(y) - 1.0 - pad_c])
+    hi = np.array([10.0 + pad_a, 100.0, IOTA_BOUNDS[1], np.max(y) + 1.0 + pad_c])
 
     def resid(p):
         return (_stretched_exp(t, *p) - y) / sig
@@ -287,13 +340,10 @@ def fit_decay(curve: DecayCurve) -> DecayFitResult:
 
     for p0 in _grid_starts(t, y, sig, [lo[0], grid_t1_lo, *lo[2:]], hi):
         try:
-            best = least_squares(
-                resid, p0, jac=jac, bounds=(lo, hi), method="trf",
-                ftol=_POLISH_TOL, xtol=_POLISH_TOL,
-            )
+            x, r, j, converged = _levenberg_marquardt(resid, jac, p0, lo, hi)
         except ValueError:  # LinAlgError and non-finite residuals; not bugs
             continue
-        if best.success:
+        if converged:
             break
     else:
         raise ConvergenceError(
@@ -302,22 +352,24 @@ def fit_decay(curve: DecayCurve) -> DecayFitResult:
         )
 
     dof = max(len(curve) - 4, 1)
-    chi2_red = 2.0 * best.cost / dof
-    jtj = best.jac.T @ best.jac
+    jtj = j.T @ j
     try:
         cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jtj)
-    perr = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
-    a, t1, iota, c = best.x
-    if abs(a) < 3.0 * noise / np.sqrt(len(curve)):
+    scale = np.array([span, t_end, 1.0, span])
+    a, t1, iota, c = x * scale
+    a_sigma, t1_sigma, iota_sigma, c_sigma = (
+        np.sqrt(np.clip(np.diag(cov), 0.0, np.inf)) * scale
+    )
+    if abs(x[0]) < 3.0 * float(np.median(sig)) / np.sqrt(len(curve)):
         raise UnidentifiableError(
             "fitted decay amplitude is consistent with zero; T1 unconstrained"
         )
     return DecayFitResult(
         a=a, t1=t1, iota=iota, c=c,
-        a_sigma=perr[0], t1_sigma=perr[1], iota_sigma=perr[2], c_sigma=perr[3],
-        chi2_red=chi2_red,
+        a_sigma=a_sigma, t1_sigma=t1_sigma, iota_sigma=iota_sigma, c_sigma=c_sigma,
+        chi2_red=float(r @ r) / dof,
     )
 
 

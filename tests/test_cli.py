@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from spinbath.cli import (
     EXIT_OK,
     EXIT_UNIDENTIFIABLE,
     _worker_count,
+    build_parser,
     main,
 )
 
@@ -500,6 +502,67 @@ def test_decay_fit_short_trace_is_data_error(tmp_path, capsys):
     assert err == f"data error: {data}: a decay fit needs at least 6 samples, got 5\n"
 
 
+def _write_decay(path, t_us, y, sigma):
+    lines = ["t_us,signal,sigma"]
+    lines += [f"{float(a)!r},{float(b)!r},{float(c)!r}" for a, b, c in zip(t_us, y, sigma)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _forty_point_trace():
+    """(t_us, signal, sigma) of a 40-point trace: T1 1 ms, 1 % noise."""
+    rng = np.random.default_rng(3)
+    t_us = np.linspace(0.0, 4000.0, 40)
+    y = 0.9 * np.exp(-t_us / 1000.0) + 0.05 + 0.01 * rng.standard_normal(40)
+    return t_us, y, np.full(40, 0.01)
+
+
+@pytest.mark.parametrize(
+    "t_scale, y_scale, sigma_scale",
+    [(1.0, 1e300, 1e290), (1e-300, 1.0, 1.0)],
+    ids=["signal-1e300-sigma-1e290", "times-1e-300"],
+)
+def test_decay_fit_in_any_units(t_scale, y_scale, sigma_scale, tmp_path, capsys):
+    """A trace in extreme units fits as in unit scales, with the results
+    scaled back, and writes no warning to stderr.  Each parameter's sigma
+    also scales with the noise-to-signal ratio."""
+    t_us, y, sigma = _forty_point_trace()
+    fits = []
+    for name, scales in (("unit", (1.0, 1.0, 1.0)), ("scaled", (t_scale, y_scale, sigma_scale))):
+        data = tmp_path / f"{name}.csv"
+        _write_decay(data, t_us * scales[0], y * scales[1], sigma * scales[2])
+        code = run_cli(
+            "decay-fit", "--config", CONFIG_PATH, "--out", tmp_path / name, "--data", data
+        )
+        assert code == EXIT_OK
+        fits.append(json.loads((tmp_path / name / "decay_fit.json").read_text()))
+    assert capsys.readouterr().err == ""
+    unit, scaled = fits
+    factor = {"A": y_scale, "C": y_scale, "T1": t_scale, "iota": 1.0}
+    factor["chi2_red"] = (y_scale / sigma_scale) ** 2
+    for key, f in factor.items():
+        assert scaled[key] == pytest.approx(unit[key] * f, rel=1e-9), key
+        if key != "chi2_red":
+            sigma_key = f"{key}_sigma"
+            want = unit[sigma_key] * (sigma_scale / y_scale) * f
+            assert scaled[sigma_key] == pytest.approx(want, rel=1e-9), sigma_key
+            assert scaled[sigma_key] > 0
+
+
+def test_decay_fit_overflowing_weights_is_data_error(tmp_path, capsys):
+    """Uncertainties of 1e-300 against a signal span near 1 would overflow
+    every weight: one stderr line and exit 3, before any fit."""
+    t_us, y, sigma = _forty_point_trace()
+    data = tmp_path / "decay.csv"
+    _write_decay(data, t_us, y, np.full(40, 1e-300))
+    code = run_cli(
+        "decay-fit", "--config", CONFIG_PATH, "--out", tmp_path, "--data", data
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {data}: uncertainties down to 1e-300")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_decay_fit_non_finite_signal_is_data_error(bad, tmp_path, capsys):
     data = tmp_path / "decay.csv"
@@ -581,39 +644,45 @@ def _scipy_modules_after(*argv) -> tuple[int, list[str]]:
     return code, modules
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["spectrum", "--points", "50"],
-        ["spectrum", "--sweep", "200,800,3"],
-        ["t1", "--data", "TABLE"],
-        ["tau-ee"],
-    ],
-    ids=["spectrum", "spectrum-sweep", "t1", "tau-ee"],
-)
-def test_prediction_commands_load_no_scipy(argv, tmp_path, small_model, geometry):
-    data = _two_field_table(tmp_path, small_model, geometry)
-    argv = [str(data) if a == "TABLE" else a for a in argv]
-    code, modules = _scipy_modules_after(
-        *argv, "--config", CONFIG_PATH, "--out", tmp_path / "out"
-    )
-    assert code == EXIT_OK
-    assert modules == []
+#: The arguments of each command's SciPy probe, one list per run; TABLE
+#: stands for a two-field measurement table and DECAY for a decay trace.
+_PROBE_ARGS = {
+    "spectrum": [["--points", "50"], ["--sweep", "200,800,3"]],
+    "t1": [["--data", "TABLE"]],
+    "fit": [["--data", "TABLE", "--grid", "8"]],
+    "tau-ee": [[]],
+    "depth": [["--data", "TABLE", "--grid", "8"]],
+    "decay-fit": [["--data", "DECAY"]],
+}
 
 
-def test_fit_and_depth_load_no_scipy(tmp_path, small_model, geometry):
+def _subcommands() -> list[str]:
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return sorted(sub.choices)
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_command_loads_no_scipy(command, tmp_path, small_model, geometry):
+    """No command loads a scipy* module.  Every subcommand of the parser is
+    probed, so a new one fails here until it has its `_PROBE_ARGS`."""
+    assert command in _PROBE_ARGS, f"no SciPy probe arguments for {command!r}"
     tree = yaml.safe_load(CONFIG_PATH.read_text())
     tree["fit"]["theta_step_deg"] = 45.0
     config = tmp_path / "coarse.yaml"
     config.write_text(yaml.safe_dump(tree))
-    data = _two_field_table(tmp_path, small_model, geometry)
-    for command in ("fit", "depth"):
+    table = _two_field_table(tmp_path, small_model, geometry)
+    decay = tmp_path / "decay.csv"
+    _write_decay(decay, *_forty_point_trace())
+    files = {"TABLE": table, "DECAY": decay}
+    for k, args in enumerate(_PROBE_ARGS[command]):
         code, modules = _scipy_modules_after(
-            command, "--config", config, "--out", tmp_path / command, "--data", data,
-            "--grid", "8",
+            command, *(files.get(a, a) for a in args),
+            "--config", config, "--out", tmp_path / f"out{k}",
         )
-        assert code in (EXIT_OK, EXIT_AMBIGUOUS), command
-        assert modules == [], command
+        assert code in (EXIT_OK, EXIT_AMBIGUOUS), (command, args)
+        assert modules == [], (command, args)
 
 
 def test_seed_flag_is_gone(tmp_path, no_config_load):

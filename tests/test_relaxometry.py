@@ -312,7 +312,8 @@ class TestFitDecay:
 
     def test_grid_starts_at_first_positive_delay(self, monkeypatch):
         """A zero first delay is nudged for the model, but the T1 grid
-        starts at 1/100 of the first positive delay, not of the nudged one."""
+        starts at 1/100 of the first positive delay, not of the nudged one
+        (in the fit's time unit, the last delay)."""
         lows = []
         real = relaxometry._grid_starts
 
@@ -324,20 +325,18 @@ class TestFitDecay:
         curve = self.make_curve()
         assert curve.t[0] == 0.0
         fit_decay(curve)
-        assert lows == [curve.t[1] / 100]
+        assert lows == [curve.t[1] / curve.t[-1] / 100]
 
     def test_one_polish_per_benchmark_style_trace(self, monkeypatch):
-        """The grid's best point converges: one least_squares call per fit."""
-        import scipy.optimize
-
+        """The grid's best point converges: one polish per fit."""
         calls = []
-        real = scipy.optimize.least_squares
+        real = relaxometry._levenberg_marquardt
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(1)
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(scipy.optimize, "least_squares", counting)
+        monkeypatch.setattr(relaxometry, "_levenberg_marquardt", counting)
         for curve in self.benchmark_style_curves():
             calls.clear()
             fit_decay(curve)
@@ -347,24 +346,24 @@ class TestFitDecay:
     def test_failed_polish_falls_back_to_next_grid_point(self, monkeypatch, failure):
         """A polish that raises ValueError or does not converge moves on to
         the next grid point; the ninth failure is a ConvergenceError."""
-        import scipy.optimize
-
         curve = self.make_curve()
         want = fit_decay(curve)
-        real = scipy.optimize.least_squares
+        real = relaxometry._levenberg_marquardt
         starts, fail_first = [], [1]
 
-        def flaky(fun, x0, **kwargs):
+        def flaky(resid, jac, x0, lo, hi):
             starts.append(tuple(x0))
             if len(starts) <= fail_first[0]:
                 if failure == "raise":
                     raise np.linalg.LinAlgError("singular")
-                sol = real(fun, x0, max_nfev=1, **kwargs)
-                assert not sol.success
+                with monkeypatch.context() as m:
+                    m.setattr(relaxometry, "_MAX_LM_TRIALS", 1)
+                    sol = real(resid, jac, x0, lo, hi)
+                assert not sol[3]
                 return sol
-            return real(fun, x0, **kwargs)
+            return real(resid, jac, x0, lo, hi)
 
-        monkeypatch.setattr(scipy.optimize, "least_squares", flaky)
+        monkeypatch.setattr(relaxometry, "_levenberg_marquardt", flaky)
         got = fit_decay(curve)
         assert len(starts) == 2 and starts[0] != starts[1]
         assert got.t1 == pytest.approx(want.t1, rel=1e-6)
@@ -373,6 +372,62 @@ class TestFitDecay:
         with pytest.raises(ConvergenceError):
             fit_decay(curve)
         assert len(set(starts)) == 9
+
+    @staticmethod
+    def polish_problem(curve, monkeypatch):
+        """The (resid, jac, x0, lo, hi) of `fit_decay`'s first polish."""
+        seen = []
+        real = relaxometry._levenberg_marquardt
+
+        def spy(*args):
+            seen.append(args)
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(relaxometry, "_levenberg_marquardt", spy)
+            fit_decay(curve)
+        return seen[0]
+
+    def test_levenberg_marquardt_matches_least_squares(self, monkeypatch):
+        """The polish ends where SciPy's TRF does from the same start, at a
+        cost no higher, with iota held at its upper bound.
+
+        The trace is the wide-range one whose fit sits at iota = 2: a step
+        that is only clipped into the box, with no parameter held at its
+        bound, never converges there from any of the nine starts.
+        """
+        from scipy.optimize import least_squares
+
+        curve = list(self.wide_range_curves())[10]
+        for c in (self.make_curve(), curve):
+            resid, jac, x0, lo, hi = self.polish_problem(c, monkeypatch)
+            x, r, j, converged = relaxometry._levenberg_marquardt(resid, jac, x0, lo, hi)
+            want = least_squares(
+                resid, x0, jac=jac, bounds=(lo, hi), method="trf",
+                ftol=relaxometry._POLISH_TOL, xtol=relaxometry._POLISH_TOL,
+            )
+            assert converged and want.success
+            assert r @ r <= 2.0 * want.cost * (1.0 + 1e-12)
+            np.testing.assert_allclose(x, want.x, rtol=1e-5)
+            np.testing.assert_array_equal(r, resid(x))
+            np.testing.assert_array_equal(j, jac(x))
+        assert x[2] == hi[2]  # the wide-range trace, last in the loop
+
+    def test_levenberg_marquardt_non_finite_start_is_value_error(self, monkeypatch):
+        resid, jac, x0, lo, hi = self.polish_problem(self.make_curve(), monkeypatch)
+
+        def nan_at_start(p):
+            return np.full(3, np.nan) if np.array_equal(p, x0) else resid(p)
+
+        with pytest.raises(ValueError, match="not finite"):
+            relaxometry._levenberg_marquardt(nan_at_start, jac, x0, lo, hi)
+
+    def test_levenberg_marquardt_trial_cap_is_not_converged(self, monkeypatch):
+        resid, jac, x0, lo, hi = self.polish_problem(self.make_curve(), monkeypatch)
+        monkeypatch.setattr(relaxometry, "_MAX_LM_TRIALS", 2)
+        x, r, _, converged = relaxometry._levenberg_marquardt(resid, jac, x0, lo, hi)
+        assert not converged
+        assert r @ r < resid(x0) @ resid(x0)
 
     def test_fit_error_outside_value_error_surfaces(self, monkeypatch):
         """Only ValueError (LinAlgError, non-finite residuals) skips a start."""
