@@ -6,8 +6,8 @@ spectrum   S_e(omega) on a grid at fixed field (or a field sweep of the
            predicted relaxation rate), CSV + summary JSON.
 t1         Per-record delta-Gamma_1 +/- sigma with the model prediction
            at the configured nominal parameters.
-fit        Landscape + local-minima fit of (tau_e, theta_e) or
-           (d_nv, theta_e) against a measurement table.
+fit        Landscape + local-minima fit of any of tau_e, theta_e and d_nv
+           against one NV's measurement table.
 tau-ee     No-hyperfine / delta-approximation / full self-consistent
            electron-electron correlation-time solves with a bracketing
            verdict; the full solve starts at the no-hyperfine bound.
@@ -655,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="parameter estimation from delta-Gamma_1 records")
     common(p)
     p.add_argument("--data", required=True, help="measurement CSV")
-    p.add_argument("--free", default="tau_e,theta_e", help="comma list of free params")
+    p.add_argument("--free", default="tau_e,theta_e", help="any of tau_e,theta_e,d_nv")
     p.add_argument("--grid", type=int, default=None, help="landscape grid points")
 
     p = sub.add_parser("tau-ee", help="self-consistent electron-electron tau_e")

@@ -1,4 +1,4 @@
-"""Inverse problem: estimate (tau_e, theta_e) or (d_nv, theta_e) from ΔΓ₁.
+"""Inverse problem: estimate any of tau_e, theta_e and d_nv from one NV's ΔΓ₁.
 
 The forward model ΔΓ₁^th(B; λ) = γ_e² S_e(ω_NV(B)) is expensive through
 the eigendecomposition behind the transition spectrum, so the estimator
@@ -227,9 +227,11 @@ def check_free(
 ) -> None:
     """Validate a free-parameter set; cheap enough to run before a cache build.
 
-    Raises ValueError for unknown, repeated or too many names and, given the
-    T1 records, UnidentifiableError when they cannot constrain the names:
-    fewer records than names, or ΔΓ₁ ≤ 0 at every record, which only the
+    Raises ValueError for unknown or repeated names and, given the T1
+    records, UnidentifiableError when they cannot constrain the names:
+    records of more than one NV (each has its own depth, so no one b₀²
+    fits them), fewer distinct fields than names (a second record at one
+    field adds no constraint), or ΔΓ₁ ≤ 0 at every record, which only the
     limit b₀² → 0 (no film) fits.
     """
     for name in free:
@@ -239,14 +241,18 @@ def check_free(
         raise ValueError("no free parameters")
     if len(set(free)) != len(free):
         raise ValueError(f"repeated free parameter in {list(free)}")
-    if len(free) > 2:
-        raise ValueError("at most two free parameters are supported")
     if records is None:
         return
-    if len(records) < len(free):
+    nvs = sorted({r.nv_id for r in records})
+    if len(nvs) > 1:
         raise UnidentifiableError(
-            f"{len(records)} data point(s) cannot constrain "
-            f"{len(free)} free parameter(s)"
+            f"the table holds {len(nvs)} NVs ({', '.join(nvs)}), each at its own "
+            f"depth; fit one NV per table, or run `depth` for every NV"
+        )
+    n_fields = len({r.b_gauss for r in records})
+    if n_fields < len(free):
+        raise UnidentifiableError(
+            f"{n_fields} field(s) cannot constrain {len(free)} free parameter(s)"
         )
     if all(delta_gamma(r)[0] <= 0 for r in records):
         raise UnidentifiableError("ΔΓ₁ <= 0 at every record: the film shortens no T1")

@@ -151,6 +151,8 @@ class DecayCurve:
         for name, values in (("times", t), ("signal", y), ("uncertainties", s)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite")
+        if np.any(t < 0):
+            raise ValueError("times must be >= 0")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(s <= 0):
@@ -322,7 +324,7 @@ def fit_decay(curve: DecayCurve) -> DecayFitResult:
         )
     # the T1 grid starts at the first positive delay / 100, not the nudged one
     grid_t1_lo = (t[0] if t[0] > 0 else t[1]) / 100.0
-    if t[0] <= 0:
+    if t[0] == 0:
         # (t/T1)^iota needs t > 0; nudge a leading zero sample
         t[0] = t[1] * 1e-6
 
@@ -416,7 +418,6 @@ def fit_spin_lattice(
     temperature: np.ndarray,
     rates: np.ndarray,
     sigma: np.ndarray | None = None,
-    floor: bool = True,
 ) -> SpinLatticeParams:
     """Recover SpinLatticeParams from measured R(T) by multi-start fitting."""
     from scipy.optimize import least_squares
@@ -430,11 +431,8 @@ def fit_spin_lattice(
     w_hi = 100.0 * K_B * np.max(t) / HBAR
 
     def unpack(p):
-        la, lwa, lb, lwb, lc = p
-        c = np.exp(lc) if floor else 0.0
-        return SpinLatticeParams(
-            a=np.exp(la), omega_a=np.exp(lwa), b=np.exp(lb), omega_b=np.exp(lwb), c=c
-        )
+        # p holds the logs of (A, omega_A, B, omega_B, C), the fields in order
+        return SpinLatticeParams(*(np.exp(x) for x in p))
 
     def resid(p):
         return (spin_lattice_rate(t, unpack(p)) - r) / s

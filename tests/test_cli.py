@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -271,8 +272,6 @@ def test_fit_single_point_unidentifiable(tmp_path, small_model, geometry):
 
 def test_fit_free_depth_alone_region_holds_truth(tmp_path):
     """`fit --free d_nv` on an exact 3-field table at 7 nm: the region holds 7 nm."""
-    import math
-
     from spinbath.cli import _forward_model
     from spinbath.config import load_config
 
@@ -301,6 +300,82 @@ def test_fit_free_depth_alone_region_holds_truth(tmp_path):
     assert header == "objective" and len(rows) == 1
 
 
+#: A truth near the shipped nominal: the benchmark's seed-101 cold-fit truth.
+_TAU_TRUTH, _THETA_TRUTH = 1.7425e-9, math.radians(42.13)
+
+
+@pytest.fixture()
+def shared_model(monkeypatch, forward_model_4f):
+    """`fit` runs on the shared 4-field, 2° model and builds no θ-cache."""
+    import spinbath.cli
+
+    monkeypatch.setattr(spinbath.cli, "_forward_model", lambda *args: forward_model_4f)
+    return forward_model_4f
+
+
+def _fit_three_free(tmp_path, model, geometry, d_nv, fields):
+    """`fit --free tau_e,theta_e,d_nv` on the model's exact table: the exit code."""
+    records = synth_records(
+        model, geometry, _TAU_TRUTH, _THETA_TRUTH, np.random.default_rng(0),
+        noise=0.0, fields=fields, d_nv=d_nv,
+    )
+    data = tmp_path / "t1.csv"
+    records_to_csv(records, data)
+    return run_cli(
+        "fit", "--config", CONFIG_PATH, "--out", tmp_path, "--data", data,
+        "--free", "tau_e,theta_e,d_nv",
+    )
+
+
+def _holds(intervals, value) -> bool:
+    return any(lo <= value <= hi for lo, hi in intervals)
+
+
+def _assert_near_truth(params, d_nv):
+    assert params["d_nv"] == pytest.approx(d_nv, abs=0.05e-9)
+    assert params["tau_e"] == pytest.approx(_TAU_TRUTH, rel=0.01)
+    assert math.degrees(abs(params["theta_e"] - _THETA_TRUTH)) < 0.5
+
+
+@pytest.mark.parametrize("d_nv", [5e-9, 7e-9, 9.5e-9])
+def test_fit_three_free_round_trip(d_nv, tmp_path, shared_model, geometry):
+    """τ_e, θ_e and d_nv at once from an exact 4-field table: one minimum, the truth.
+
+    The d_nv and θ_e regions hold the truth.  The τ_e region is two isolated
+    points, a grid node and the best point, since one 64² τ_e step is wider
+    than the accepted band; it is not asserted.
+    """
+    code = _fit_three_free(
+        tmp_path, shared_model, geometry, d_nv, shared_model.fields_gauss
+    )
+    assert code == EXIT_OK
+    payload = json.loads((tmp_path / "fit.json").read_text())
+    (minimum,) = payload["minima"]
+    _assert_near_truth(minimum["params"], d_nv)
+    conf = payload["confidence"]
+    assert _holds(conf["d_nv"], d_nv) and _holds(conf["theta_e"], _THETA_TRUTH)
+
+
+def test_fit_three_free_on_three_fields_is_ambiguous(tmp_path, shared_model, geometry):
+    """Three fields for three free parameters (no degree of freedom) are allowed.
+
+    On the exact table at 9.5 nm a second basin, at the τ_e box edge and a
+    2.6 nm depth, falls within the keep band: `fit` reports both minima and
+    exits 7.  The best is the truth, and every region holds it.
+    """
+    code = _fit_three_free(
+        tmp_path, shared_model, geometry, 9.5e-9, (231.0, 372.0, 721.0)
+    )
+    assert code == EXIT_AMBIGUOUS
+    payload = json.loads((tmp_path / "fit.json").read_text())
+    best, second = (m["params"] for m in payload["minima"])
+    _assert_near_truth(best, 9.5e-9)
+    assert second["tau_e"] == pytest.approx(100e-9)
+    conf = payload["confidence"]
+    truth = {"tau_e": _TAU_TRUTH, "theta_e": _THETA_TRUTH, "d_nv": 9.5e-9}
+    assert all(_holds(conf[name], value) for name, value in truth.items())
+
+
 @pytest.fixture()
 def no_cache_build(monkeypatch):
     """Fail the test if the command gets as far as building the θ-cache."""
@@ -321,7 +396,7 @@ def _two_field_table(tmp_path, small_model, geometry):
 
 
 @pytest.mark.parametrize(
-    "free", ["tau_e,bogus", "tau_e,theta_e,d_nv", "tau_e,tau_e", ",", "h"]
+    "free", ["tau_e,bogus", "tau_e,theta_e,d_nv,h", "tau_e,tau_e", ",", "h"]
 )
 def test_fit_bad_free_is_config_error(
     free, tmp_path, small_model, geometry, no_cache_build, capsys
@@ -334,6 +409,43 @@ def test_fit_bad_free_is_config_error(
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: --free:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "rows, free, message",
+    [
+        (
+            ("NV1,231.0", "NV1,461.0"), "tau_e,theta_e,d_nv",
+            "2 field(s) cannot constrain 3 free parameter(s)",
+        ),
+        # a second record at one field constrains nothing new
+        (
+            ("NV1,231.0", "NV1,231.0"), "tau_e,theta_e",
+            "1 field(s) cannot constrain 2 free parameter(s)",
+        ),
+        # each NV has its own depth, so no one b₀² fits them both
+        (
+            ("NVb,231.0", "NVa,721.0", "NVb,721.0"), "d_nv",
+            "the table holds 2 NVs (NVa, NVb), each at its own depth; "
+            "fit one NV per table, or run `depth` for every NV",
+        ),
+    ],
+    ids=["two-fields", "one-field", "two-nvs"],
+)
+def test_fit_unconstrained_table_fails_before_cache(
+    rows, free, message, tmp_path, no_cache_build, capsys
+):
+    data = tmp_path / "t1.csv"
+    data.write_text(
+        "nv_id,b_gauss,t1_cupc_us,t1_cupc_sigma_us,t1_free_us,t1_free_sigma_us\n"
+        + "".join(f"{row},1500,30,5000,100\n" for row in rows)
+    )
+    code = run_cli(
+        "fit", "--config", CONFIG_PATH, "--out", tmp_path, "--data", data,
+        "--free", free,
+    )
+    assert code == EXIT_UNIDENTIFIABLE
+    assert capsys.readouterr().err == f"unidentifiable: {message}\n"
 
 
 def test_fit_too_few_records_fails_before_cache(

@@ -186,6 +186,12 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             DecayCurve(t=np.array([0.0, 1.0]), y=np.zeros(2), sigma=np.array([1.0, 0.0]))
 
+    def test_negative_delay_rejected(self):
+        """As the decay-CSV loader does, rather than fit a moved first delay."""
+        t = np.linspace(-1e-3, 4e-3, 40)
+        with pytest.raises(ValueError, match="times must be >= 0"):
+            DecayCurve(t=t, y=np.exp(-t / 1e-3), sigma=np.full(40, 0.01))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "field, name", [("t", "times"), ("y", "signal"), ("sigma", "uncertainties")]
