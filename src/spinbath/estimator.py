@@ -4,9 +4,9 @@ The forward model ΔΓ₁^th(B; λ) = γ_e² S_e(ω_NV(B)) is expensive through
 the eigendecomposition behind the transition spectrum, so the estimator
 precomputes a cache: for every (field, θ-node) pair it stores the binned
 line list shifted by ∓ω_NV.  `ForwardModel.unit_rates` evaluates ΔΓ₁ per
-unit b₀² on whole arrays of (τ_e, θ_e): it sums the lines of each θ node
-that brackets a queried θ once per distinct τ_e, keeps each node's last
-sum for a repeat of the same τ_e values, and interpolates linearly
+unit b₀² on whole arrays of (τ_e, θ_e): it keeps one table of node rates
+per array of distinct τ_e values, sums the lines of a θ node that brackets
+a queried θ only when the table lacks it, and interpolates linearly
 between the nodes.  The depth and film nuisances (d_nv, h, n_e) enter only
 through the multiplier b₀², so a grid mesh and a single Nelder–Mead point
 are each one broadcast evaluation.
@@ -26,6 +26,7 @@ d_nv's region is exact: the depths that the accepted b₀² windows admit.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -62,6 +63,9 @@ DEFAULT_THETA_STEP = np.radians(1.0)
 #: Parameters a fit may leave free.
 FITTABLE = ("tau_e", "theta_e", "d_nv")
 
+#: Rate tables the `ForwardModel` memo keeps per kind of τ array.
+_MEMO_TABLES = 2
+
 
 class ForwardModel:
     """Cached ΔΓ₁^th(B; τ_e, θ_e) · b₀²-multiplier evaluator.
@@ -73,15 +77,18 @@ class ForwardModel:
     `spectral_density` runs too, and `bathspectrum.unit_spectral_density`
     turns it into S_e, so no part of S_e is coded here.
     After construction the line cache is read-only.  The one mutable part
-    is a memo of the last line sum per (field, node): the bytes of the τ
-    array summed and the resulting row, stored as one tuple and replaced
-    whole, so a call with the same τ array reuses the row.  A depth fit
-    fixes τ_e, so its Nelder–Mead steps re-read the rows of its grid scan
-    instead of summing the nodes again, and the test of its best point
-    re-reads the rows of its confidence sweep.  The memo
-    holds at most one entry per (field, node), and a concurrent reader
-    sees either an old or a new pair, never a mixed one, so an instance is
-    safe to share across fits and threads.
+    is a memo of rate tables keyed by the bytes of a τ array: ΔΓ₁ per unit
+    b₀² over (θ node, field, τ), filled lazily one (node, field) column at
+    a time.  The rates depend on no NV, so a depth fit's fixed τ_e and the
+    τ_e samples of its confidence sweep are summed by the first NV only;
+    every later fit on the model, and each Nelder–Mead step, reads them.
+    The memo keeps the two latest tables of one τ value and the two latest
+    of several, so a simplex's stream of scalar τ_e never evicts the grid
+    table that a confidence sweep re-reads.  A column is written before it
+    is marked filled and never changes after, and the table dict changes
+    only under a lock, so a reader sees only finished columns; two threads
+    that fill one column write the same bits.  An instance is thus safe to
+    share across fits and threads.
 
     With `workers` > 1 the (field, node) entries are built on that many
     threads (at most one per entry); `eigh` releases the GIL, so they run
@@ -126,9 +133,9 @@ class ForwardModel:
         # cache[(i_field, i_node)] = (minus, plus) float32 arrays of
         # (omega_line -/+ omega_nv) and the matching weights
         self._cache: dict[tuple[int, int], tuple] = {}
-        # sums[(i_field, i_node)] = (τ array bytes, line sums per τ) of the
-        # node's last sum
-        self._sums: dict[tuple[int, int], tuple[bytes, np.ndarray]] = {}
+        # tables[τ array bytes] = (rates, filled) of `_table`
+        self._tables: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self._lock = threading.Lock()
         self._omega_nv = np.array(
             [
                 nv_frequency(self.nv, b * GAUSS_TO_TESLA)
@@ -163,30 +170,39 @@ class ForwardModel:
         else:
             self._cache.update(zip(keys, map(entry, keys)))
 
-    def _node_rates(self, taus: np.ndarray, nodes: np.ndarray, fields) -> np.ndarray:
-        """ΔΓ₁ for b₀² = 1 T² at θ nodes `nodes`: (n_τ, n_node, len(fields)).
+    def _table(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The memo's (rates, filled) table of the τ array `taus`, made if new.
 
-        Each node is one float32 `bathspectrum.comb_sum` over the cached
-        ω ∓ ω_NV, a row per τ, so a row's value does not depend on which
-        other τ share the call; `bathspectrum.unit_spectral_density` turns
-        the sums into S_e.  A (field, node) whose last sum was over the same
-        τ bytes reuses that row from the memo.
+        rates[j, i] is node j's ΔΓ₁ per unit b₀² at field i over `taus`, set
+        where filled[j, i].  A new table evicts the oldest beyond
+        `_MEMO_TABLES` of its kind: one τ value, or several.
         """
-        lines = np.empty((taus.size, nodes.size, len(fields)))
-        t32 = taus.astype(np.float32)[:, None]
         key = taus.tobytes()
-        for f, i in enumerate(fields):
-            for k, j in enumerate(nodes.tolist()):
-                memo = self._sums.get((i, j))
-                if memo is not None and memo[0] == key:
-                    lines[:, k, f] = memo[1]
-                    continue
-                lines[:, k, f] = comb_sum(*self._cache[(i, j)], t32)
-                self._sums[(i, j)] = (key, lines[:, k, f].copy())
-        tau = taus[:, None, None]
-        return self.nv.gamma_e**2 * unit_spectral_density(
-            self._omega_nv[list(fields)], tau, lines
+        table = self._tables.get(key)
+        if table is None:
+            shape = (self.theta_nodes.size, len(self.fields_gauss))
+            table = np.empty(shape + taus.shape), np.zeros(shape, dtype=bool)
+            with self._lock:
+                table = self._tables.setdefault(key, table)
+                single = taus.size == 1
+                kind = [k for k in self._tables if (len(k) == taus.itemsize) == single]
+                for k in kind[:-_MEMO_TABLES]:
+                    del self._tables[k]
+        return table
+
+    def _fill(self, table, taus: np.ndarray, j: int, i: int) -> None:
+        """Set node j's column at field i of `table`, then mark it filled.
+
+        One float32 `bathspectrum.comb_sum` over the cached ω ∓ ω_NV, a row
+        per τ, so a row's value does not depend on which other τ share the
+        table; `bathspectrum.unit_spectral_density` turns it into S_e.
+        """
+        rates, filled = table
+        comb = comb_sum(*self._cache[(i, j)], taus.astype(np.float32)[:, None])
+        rates[j, i] = self.nv.gamma_e**2 * unit_spectral_density(
+            self._omega_nv[i], taus, comb.astype(float)
         )
+        filled[j, i] = True
 
     def unit_rates(self, tau, theta, fields=None) -> np.ndarray:
         """ΔΓ₁ per unit b₀² at broadcastable τ and θ: shape (..., n_field).
@@ -194,23 +210,27 @@ class ForwardModel:
         `fields` lists the indices of the configured fields to evaluate
         (default: all, in order).  θ is clipped to the node range and
         interpolated linearly between its two bracketing nodes.  Only those
-        nodes are summed, once per distinct τ, so a single point costs two
-        node sums per field.
+        nodes' columns of the τ array's table are summed, and only when
+        missing, so a single new point costs two node sums per field.
         """
         if fields is None:
             fields = range(len(self.fields_gauss))
+        fields = np.asarray(fields)
         tau = np.asarray(tau, dtype=float)
+        taus = np.unique(tau)
+        tau_pos = np.searchsorted(taus, tau)[..., None]
+        rates, filled = table = self._table(taus)
         nodes = self.theta_nodes
         theta = np.minimum(np.maximum(theta, nodes[0]), nodes[-1])
         j = np.minimum(np.searchsorted(nodes, theta, side="right"), nodes.size - 1) - 1
-        frac = np.expand_dims((theta - nodes[j]) / (nodes[j + 1] - nodes[j]), -1)
-        taus, tau_pos = np.unique(tau, return_inverse=True)
-        used = np.zeros(nodes.size, dtype=bool)
-        used[j] = used[j + 1] = True
-        node_pos = np.cumsum(used) - 1
-        rates = self._node_rates(taus, np.flatnonzero(used), fields)
-        tau_pos = tau_pos.reshape(tau.shape)
-        lo, hi = rates[tau_pos, node_pos[j]], rates[tau_pos, node_pos[j + 1]]
+        frac = ((theta - nodes[j]) / (nodes[j + 1] - nodes[j]))[..., None]
+        j = j[..., None]
+        if not filled.all():
+            wanted = np.zeros_like(filled)
+            wanted[j, fields] = wanted[j + 1, fields] = True
+            for node, i in np.argwhere(wanted & ~filled).tolist():
+                self._fill(table, taus, node, i)
+        lo, hi = rates[j, fields, tau_pos], rates[j + 1, fields, tau_pos]
         return (1.0 - frac) * lo + frac * hi
 
     def delta_gamma_unit(self, i_field: int, tau, theta):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,7 @@ def _positive(row: dict, key: str, path: Path, lineno: int) -> float:
         val = float(raw)
     except ValueError:
         raise DataFormatError(f"{path}:{lineno}: {key} is not a number: {raw!r}") from None
-    if not np.isfinite(val) or val <= 0:
+    if not math.isfinite(val) or val <= 0:
         raise DataFormatError(f"{path}:{lineno}: {key} must be > 0, got {raw}")
     return val
 
@@ -91,7 +92,7 @@ def load_decay_curve(path: str | Path) -> DecayCurve:
     if not rows:
         raise DataFormatError(f"{p}:1: decay file has no data rows")
     t, y, s = [], [], []
-    prev = -np.inf
+    prev = -math.inf
     for i, row in enumerate(rows):
         lineno = i + 2
         raw_t = _field(row, "t_us", p, lineno)
@@ -100,9 +101,9 @@ def load_decay_curve(path: str | Path) -> DecayCurve:
             ti, yi = float(raw_t), float(raw_y)
         except ValueError:
             raise DataFormatError(f"{p}:{lineno}: non-numeric t_us/signal") from None
-        if not np.isfinite(ti) or ti < 0:
+        if not math.isfinite(ti) or ti < 0:
             raise DataFormatError(f"{p}:{lineno}: t_us must be >= 0, got {raw_t}")
-        if not np.isfinite(yi):
+        if not math.isfinite(yi):
             raise DataFormatError(f"{p}:{lineno}: signal must be finite, got {raw_y}")
         if ti <= prev:
             raise DataFormatError(f"{p}:{lineno}: t_us must be strictly increasing")

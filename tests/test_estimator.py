@@ -198,20 +198,34 @@ class TestForwardModelCache:
 
 
 class _NoMemo(dict):
-    """A `ForwardModel._sums` that keeps no row: the memo switched off."""
+    """A `ForwardModel._tables` that keeps no table: the memo switched off."""
 
-    def __setitem__(self, key, value):
-        pass
+    def setdefault(self, key, default=None):
+        return default
+
+
+@pytest.fixture()
+def node_sums(monkeypatch):
+    """The τ-row count of every node sum the estimator runs, in call order."""
+    calls = []
+    comb_sum = estimator.comb_sum
+
+    def counting(*args, **kwargs):
+        calls.append(np.size(args[3]))
+        return comb_sum(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "comb_sum", counting)
+    return calls
 
 
 class TestNodeSumMemo:
-    """The last line sum per (field, node), reused for the same τ array."""
+    """One rate table per τ array, filled one (node, field) column at a time."""
 
     @staticmethod
-    def problem(model, geometry, nuisance_fixed, free):
-        rng = np.random.default_rng(31)
+    def problem(model, geometry, nuisance_fixed, free, seed=31, d_nv=7e-9):
+        rng = np.random.default_rng(seed)
         records = synth_records(
-            model, geometry, 2e-9, 0.75, rng, noise=0.03, d_nv=7e-9
+            model, geometry, 2e-9, 0.75, rng, noise=0.03, d_nv=d_nv
         )
         return make_problem(records, model, geometry, free, nuisance_fixed(free))
 
@@ -228,12 +242,13 @@ class TestNodeSumMemo:
             res = fit(problem, grid_points=32)
             return replace(res, confidence=confidence_region(problem, res, grid_points=32))
 
-        monkeypatch.setattr(small_model, "_sums", {})
-        first, again = run(), run()  # the second starts from this problem's rows
-        n_entries = len(small_model.fields_gauss) * small_model.theta_nodes.size
-        assert 0 < len(small_model._sums) <= n_entries
-        assert set(small_model._sums) <= set(small_model._cache)
-        monkeypatch.setattr(small_model, "_sums", _NoMemo())
+        monkeypatch.setattr(small_model, "_tables", {})
+        first, again = run(), run()  # the second starts from this problem's tables
+        assert 0 < len(small_model._tables) <= 2 * estimator._MEMO_TABLES
+        shape = (small_model.theta_nodes.size, len(small_model.fields_gauss))
+        for key, (rates, filled) in small_model._tables.items():
+            assert rates.shape == shape + (len(key) // 8,) and filled.shape == shape
+        monkeypatch.setattr(small_model, "_tables", _NoMemo())
         off = run()
         for on in (first, again):
             assert list(on.landscape[0]) == list(off.landscape[0])
@@ -252,7 +267,7 @@ class TestNodeSumMemo:
     ):
         """τ_e is fixed in a depth fit: after the grid scan every sum is a memo hit."""
         problem = self.problem(small_model, geometry, nuisance_fixed, ("d_nv", "theta_e"))
-        monkeypatch.setattr(small_model, "_sums", {})
+        monkeypatch.setattr(small_model, "_tables", {})
         calls = []
         lorentzian = bathspectrum._unit_lorentzian
 
@@ -277,9 +292,45 @@ class TestNodeSumMemo:
         assert len(calls) == 2 * n_sums
         assert set(calls) == {(1, 1)}
 
+    def test_second_nv_sums_no_node(
+        self, small_model, geometry, nuisance_fixed, node_sums
+    ):
+        """A second NV's depth pipeline on the model reads every rate it needs."""
+        free = ("d_nv", "theta_e")
+        first, second = (
+            self.problem(small_model, geometry, nuisance_fixed, free, seed, d_nv)
+            for seed, d_nv in ((31, 7e-9), (32, 11e-9))
+        )
+        estimate_depth(first, grid_points=32)
+        node_sums.clear()
+        estimate_depth(second, grid_points=32)
+        assert node_sums == []
+
+    def test_confidence_after_free_tau_fit_resums_no_grid_column(
+        self, small_model, geometry, nuisance_fixed, node_sums
+    ):
+        """The simplex's scalar τ_e values leave the grid's table in the memo."""
+        problem = self.problem(small_model, geometry, nuisance_fixed, ("tau_e", "theta_e"))
+        res = fit(problem, grid_points=32)
+        node_sums.clear()
+        confidence_region(problem, res, grid_points=32)
+        assert set(node_sums) <= {1}  # at most the best point, off the grid
+
+    def test_memo_bounded_under_scalar_churn(self, small_model, monkeypatch):
+        """1 000 distinct scalar τ keep two single-τ tables and the grid's."""
+        monkeypatch.setattr(small_model, "_tables", {})
+        grid = np.geomspace(0.1e-9, 100e-9, 16)
+        small_model.unit_rates(grid[:, None], 0.7)
+        churn = np.linspace(1e-9, 5e-9, 1000)
+        for t in churn:
+            small_model.unit_rates(t, 0.7)
+        assert list(small_model._tables) == [
+            grid.tobytes(), churn[-2:-1].tobytes(), churn[-1:].tobytes()
+        ]
+
     def test_chunks_and_field_subsets_without_memo(self, small_model, monkeypatch):
         """A row does not depend on its chunk or on the other fields, summed afresh."""
-        monkeypatch.setattr(small_model, "_sums", _NoMemo())
+        monkeypatch.setattr(small_model, "_tables", _NoMemo())
         taus = np.geomspace(0.1e-9, 100e-9, 37)
         whole = small_model.unit_rates(taus, 0.6)
         np.testing.assert_array_equal(
@@ -288,35 +339,59 @@ class TestNodeSumMemo:
         monkeypatch.setattr(bathspectrum, "_CHUNK_ELEMENTS", 3000)  # ~1 tau per chunk
         np.testing.assert_array_equal(small_model.unit_rates(taus, 0.6), whole)
 
-    def test_other_tau_array_is_summed_afresh(self, small_model, monkeypatch):
-        """A row is reused only for the very τ array it was summed over."""
-        monkeypatch.setattr(small_model, "_sums", {})
+    def test_other_tau_array_is_summed_afresh(self, small_model, monkeypatch, node_sums):
+        """A table is read only for the very τ array it was summed over."""
+        monkeypatch.setattr(small_model, "_tables", {})
         taus = np.geomspace(0.1e-9, 100e-9, 9)
         whole = small_model.unit_rates(taus, 0.6)
         for part in (taus[:4], taus[1::2], taus[-1:]):
+            node_sums.clear()
             got = small_model.unit_rates(part, 0.6)
             np.testing.assert_array_equal(got, whole[np.searchsorted(taus, part)])
-            (key, row), *_ = small_model._sums.values()
-            assert key == part.tobytes() and row.shape == part.shape
+            # θ = 0.6 lies between the 30° and 45° nodes: 2 nodes × 2 fields
+            assert node_sums == [part.size] * 4
+            rates, filled = small_model._tables[part.tobytes()]
+            assert rates.shape[-1] == part.size and filled.sum() == 4
 
     def test_shared_model_across_threads(self, small_model, monkeypatch):
-        """Threads alternating τ arrays on one model read only matching rows."""
+        """Threads alternating scalar and array τ on one model read only matching rates.
+
+        Four threads on a short switch interval fill, read and evict tables
+        of one model; every read must equal the rates summed without a memo.
+        """
+        import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        monkeypatch.setattr(small_model, "_sums", {})
-        taus = [np.array([t]) for t in (0.5e-9, 2e-9, 13e-9)]
+        # three single-τ and three multi-τ keys, so both kinds evict
+        taus = [
+            0.5e-9,
+            np.array([[2e-9]]),
+            40e-9,
+            np.array([[0.5e-9], [13e-9]]),
+            np.geomspace(1e-9, 9e-9, 3)[:, None],
+            np.array([[2e-9], [13e-9]]),
+        ]
         thetas = np.linspace(0.0, np.pi / 2, 7)
-        want = [small_model.unit_rates(t[:, None], thetas) for t in taus]
+        monkeypatch.setattr(small_model, "_tables", _NoMemo())
+        want = [small_model.unit_rates(t, thetas) for t in taus]
+        monkeypatch.setattr(small_model, "_tables", {})
 
         def work(k):
             for step in range(30):
                 i = (k + step) % len(taus)
                 np.testing.assert_array_equal(
-                    small_model.unit_rates(taus[i][:, None], thetas), want[i]
+                    small_model.unit_rates(taus[i], thetas), want[i]
                 )
 
-        with ThreadPoolExecutor(2) as pool:
-            list(pool.map(work, range(2)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                for done in [pool.submit(work, k) for k in range(4)]:
+                    done.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(small_model._tables) <= 2 * estimator._MEMO_TABLES
 
 
 def _same_steps_as_scipy(f, x0):
@@ -754,19 +829,16 @@ class TestVectorizedAgainstLoops:
         monkeypatch.setattr(bathspectrum, "_CHUNK_ELEMENTS", 3000)  # ~1 tau per chunk
         np.testing.assert_array_equal(small_model.unit_rates(taus, 0.6), whole)
 
-    def test_single_point_sums_two_nodes_per_field(self, small_model, monkeypatch):
-        sums = []
-        node_rates = small_model._node_rates
-
-        def spy(taus, nodes, fields):
-            sums.append(taus.size * nodes.size * len(fields))
-            return node_rates(taus, nodes, fields)
-
-        monkeypatch.setattr(small_model, "_node_rates", spy)
+    def test_single_point_sums_two_nodes_per_field(
+        self, small_model, monkeypatch, node_sums
+    ):
+        monkeypatch.setattr(small_model, "_tables", {})
         small_model.unit_rates(2e-9, 0.7)
-        small_model.unit_rates(np.full(5, 2e-9), np.full(5, 0.7))
-        small_model.delta_gamma_unit(1, 2e-9, 0.7)
-        assert sums == [4, 4, 2]
+        assert node_sums == [1] * 4  # two nodes at each of two fields, one τ
+        small_model.delta_gamma_unit(1, 3e-9, 0.7)
+        assert node_sums == [1] * 6
+        small_model.unit_rates(np.full(5, 2e-9), np.full(5, 0.7))  # the first τ again
+        assert len(node_sums) == 6
 
     @pytest.mark.parametrize(
         "free, n_tau", [(("tau_e", "theta_e"), 6), (("d_nv", "theta_e"), 13)]
